@@ -4,13 +4,6 @@ namespace dtr {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 std::string to_hex(BytesView data) {

@@ -168,6 +168,14 @@ class ByteReader {
 /// Hex dump (lowercase, no separators) — used for digests and test diagnostics.
 std::string to_hex(BytesView data);
 
+/// Value of one hex digit (either case), or -1.
+constexpr int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
 /// Parse a hex string produced by to_hex(); returns empty on malformed input.
 Bytes from_hex(std::string_view hex);
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -23,10 +24,21 @@ struct Digest128 {
 
   [[nodiscard]] std::string hex() const { return to_hex(bytes); }
 
+  /// All-zero digest unless `h` is exactly 32 hex digits.
   static Digest128 from_hex(std::string_view h) {
+    return parse_hex(h).value_or(Digest128{});
+  }
+
+  /// Exactly 32 hex digits (either case), or nullopt.
+  static std::optional<Digest128> parse_hex(std::string_view h) {
+    if (h.size() != 32) return std::nullopt;
     Digest128 d;
-    Bytes raw = dtr::from_hex(h);
-    if (raw.size() == 16) std::memcpy(d.bytes.data(), raw.data(), 16);
+    for (std::size_t i = 0; i < 16; ++i) {
+      const int hi = hex_value(h[2 * i]);
+      const int lo = hex_value(h[2 * i + 1]);
+      if ((hi | lo) < 0) return std::nullopt;
+      d.bytes[i] = static_cast<std::uint8_t>(hi << 4 | lo);
+    }
     return d;
   }
 

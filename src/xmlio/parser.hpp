@@ -5,11 +5,18 @@
 // declaration, and the five standard entities.  No DTDs, namespaces or
 // CDATA — the writer never produces them.  One token at a time, so a
 // multi-gigabyte dataset can be analysed without loading it into memory.
+//
+// Input is pulled from the stream's buffer in 64 KiB blocks into a window
+// the parser owns.  Tokens are views: their name, attribute keys and
+// values point into that window (or, for a value holding an entity, into
+// a parser-owned decode buffer).  A token stays valid until the next
+// next() call; copy what must outlive it.
 #pragma once
 
+#include <cstddef>
 #include <istream>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,45 +26,56 @@ struct XmlToken {
   enum class Kind { kStartElement, kEndElement, kText };
 
   Kind kind = Kind::kText;
-  std::string name;                                       // element tokens
-  std::vector<std::pair<std::string, std::string>> attrs; // start tokens
-  std::string text;                                       // text tokens
-  bool self_closing = false;                              // start tokens
-
-  [[nodiscard]] const std::string* attr(std::string_view key) const {
-    for (const auto& [k, v] : attrs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
+  std::string_view name;      // element tokens
+  std::string_view text;      // text tokens
+  bool self_closing = false;  // start tokens
+  // Start tokens: (key, value) in document order.
+  std::vector<std::pair<std::string_view, std::string_view>> attrs;
 };
 
 class XmlParser {
  public:
-  explicit XmlParser(std::istream& in) : in_(in) {}
+  static constexpr std::size_t kBlockSize = 64 * 1024;
 
-  /// Next token, or nullopt at end of input.  A syntax error sets ok() to
-  /// false and ends the stream.
-  std::optional<XmlToken> next();
+  explicit XmlParser(std::istream& in);
+
+  /// Next token, or nullptr at end of input.  The token lives in the
+  /// parser and is valid until the following next() call.  A syntax error
+  /// sets ok() to false and ends the stream.
+  const XmlToken* next();
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
-  int get();
-  int peek();
-  void fail(std::string message);
-  bool expect(char c);
-  std::string read_name();
-  std::string decode_entities(const std::string& raw);
-  void skip_whitespace();
-  std::optional<XmlToken> parse_tag();
+  // Outcome of one attempt to scan a token from the window.
+  enum class Scan { kToken, kSkipped, kNeedMore, kEnd, kError };
 
-  std::istream& in_;
+  Scan scan();
+  Scan scan_text();
+  Scan scan_tag();
+  Scan scan_start_tag(const char* p);
+  Scan scan_end_tag(const char* p);
+  Scan scan_comment(const char* p);
+  Scan scan_declaration(const char* p);
+  // The window ran out mid-token: ask for more input, or at end of input
+  // fail with `message` (the same message the token's syntax error gives).
+  Scan truncated(const char* message);
+  Scan fail(std::string message);
+  bool decode_entities(std::string_view raw, std::string_view& decoded);
+  void refill();
+
+  std::streambuf* in_;
+  std::vector<char> window_;
+  const char* pos_ = nullptr;  // first unconsumed byte
+  const char* end_ = nullptr;  // one past the last buffered byte
+  bool eof_ = false;
+  XmlToken token_;
+  std::string scratch_;  // entity-decoded values of the current token
   bool ok_ = true;
   std::string error_;
-  // Emulated token for the EndElement of a self-closing tag.
-  std::optional<std::string> pending_end_;
+  // The last start tag was self-closing: emit its EndElement next.
+  bool pending_end_ = false;
 };
 
 }  // namespace dtr::xmlio

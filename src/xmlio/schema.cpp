@@ -1,28 +1,23 @@
 #include "xmlio/schema.hpp"
 
+#include <array>
 #include <charconv>
+#include <iterator>
 #include <ostream>
+#include <string_view>
 
 namespace dtr::xmlio {
 
 namespace {
 
-const char* kind_name(const anon::AnonMessage& m) {
-  struct Visitor {
-    const char* operator()(const anon::AServStatReq&) { return "statreq"; }
-    const char* operator()(const anon::AServStatRes&) { return "statres"; }
-    const char* operator()(const anon::AServerDescReq&) { return "descreq"; }
-    const char* operator()(const anon::AServerDescRes&) { return "descres"; }
-    const char* operator()(const anon::AGetServerList&) { return "getservers"; }
-    const char* operator()(const anon::AServerList&) { return "servers"; }
-    const char* operator()(const anon::AFileSearchReq&) { return "search"; }
-    const char* operator()(const anon::AFileSearchRes&) { return "results"; }
-    const char* operator()(const anon::AGetSourcesReq&) { return "getsrc"; }
-    const char* operator()(const anon::AFoundSourcesRes&) { return "foundsrc"; }
-    const char* operator()(const anon::APublishReq&) { return "publish"; }
-    const char* operator()(const anon::APublishAck&) { return "puback"; }
-  };
-  return std::visit(Visitor{}, m);
+// The <msg kind="..."> values, in anon::AnonMessage's alternative order.
+constexpr std::string_view kKindNames[] = {
+    "statreq", "statres", "descreq",  "descres", "getservers", "servers",
+    "search",  "results", "getsrc",   "foundsrc", "publish",   "puback"};
+static_assert(std::size(kKindNames) == std::variant_size_v<anon::AnonMessage>);
+
+std::string_view kind_name(const anon::AnonMessage& m) {
+  return kKindNames[m.index()];
 }
 
 // Renders the same bytes XmlWriter produces in non-pretty mode, but into a
@@ -229,25 +224,139 @@ void DatasetWriter::resume(std::uint64_t events, std::uint64_t xml_elements) {
 
 namespace {
 
-std::optional<std::uint64_t> attr_u64(const XmlToken& t, std::string_view key) {
-  const std::string* raw = t.attr(key);
-  if (raw == nullptr) return std::nullopt;
-  std::uint64_t value = 0;
-  auto [ptr, ec] =
-      std::from_chars(raw->data(), raw->data() + raw->size(), value);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size())
-    return std::nullopt;
-  return value;
+enum class Element : std::uint8_t {
+  kCapture, kMsg, kF, kS, kKw, kMeta, kNum, kAnd, kOr, kAndNot, kOther,
+};
+
+Element element_of(std::string_view n) {
+  switch (n.size()) {
+    case 1:
+      return n[0] == 'f'   ? Element::kF
+             : n[0] == 's' ? Element::kS
+                           : Element::kOther;
+    case 2:
+      return n == "kw"   ? Element::kKw
+             : n == "or" ? Element::kOr
+                         : Element::kOther;
+    case 3:
+      return n == "msg"   ? Element::kMsg
+             : n == "num" ? Element::kNum
+             : n == "and" ? Element::kAnd
+                          : Element::kOther;
+    case 4:
+      return n == "meta" ? Element::kMeta : Element::kOther;
+    case 6:
+      return n == "andnot" ? Element::kAndNot : Element::kOther;
+    case 7:
+      return n == "capture" ? Element::kCapture : Element::kOther;
+    default:
+      return Element::kOther;
+  }
 }
 
-std::optional<anon::StringToken> attr_hash(const XmlToken& t,
-                                           std::string_view key) {
-  const std::string* raw = t.attr(key);
-  if (raw == nullptr || raw->size() != 32) return std::nullopt;
-  return Digest128::from_hex(*raw);
+// Same order as kKindNames, i.e. as anon::AnonMessage's alternatives.
+enum class Kind : std::uint8_t {
+  kStatReq, kStatRes, kDescReq, kDescRes, kGetServers, kServers,
+  kSearch, kResults, kGetSrc, kFoundSrc, kPublish, kPubAck, kUnknown,
+};
+
+Kind kind_of(std::string_view k) {
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (kKindNames[i] == k) return static_cast<Kind>(i);
+  }
+  return Kind::kUnknown;
 }
+
+constexpr std::string_view kKeyNames[] = {
+    "t",    "peer", "dir",  "kind", "users", "files", "name", "desc",
+    "n",    "file", "id",   "prov", "port",  "szkb",  "type", "avail",
+    "c",    "p",    "h",    "tag",  "cmp",   "v"};
 
 }  // namespace
+
+enum class DatasetReader::Key : std::uint8_t {
+  kT, kPeer, kDir, kKind, kUsers, kFiles, kName, kDesc,
+  kN, kFile, kId, kProv, kPort, kSzkb, kType, kAvail,
+  kC, kP, kH, kTag, kCmp, kV, kOther,
+};
+
+/// A start tag's attributes, sorted into one slot per schema key in a
+/// single pass.  Views into the token: read them before the next token.
+struct DatasetReader::Attrs {
+  static_assert(std::size(kKeyNames) == static_cast<std::size_t>(Key::kOther));
+
+  explicit Attrs(const XmlToken& t) {
+    for (const auto& [name, value] : t.attrs) {
+      const Key k = key_of(name);
+      if (k == Key::kOther || has(k)) continue;  // first occurrence wins
+      present_ |= bit(k);
+      values_[static_cast<std::size_t>(k)] = value;
+    }
+  }
+
+  [[nodiscard]] bool has(Key k) const { return (present_ & bit(k)) != 0; }
+  [[nodiscard]] const std::string_view* get(Key k) const {
+    return has(k) ? &values_[static_cast<std::size_t>(k)] : nullptr;
+  }
+
+  // Dispatch on length, then first byte, then one compare.
+  static Key key_of(std::string_view n) {
+    const auto is = [n](Key k) {
+      return n == kKeyNames[static_cast<std::size_t>(k)] ? k : Key::kOther;
+    };
+    switch (n.size()) {
+      case 1:
+        switch (n[0]) {
+          case 't': return Key::kT;
+          case 'n': return Key::kN;
+          case 'c': return Key::kC;
+          case 'p': return Key::kP;
+          case 'h': return Key::kH;
+          case 'v': return Key::kV;
+          default: return Key::kOther;
+        }
+      case 2:
+        return is(Key::kId);
+      case 3:
+        switch (n[0]) {
+          case 'd': return is(Key::kDir);
+          case 't': return is(Key::kTag);
+          case 'c': return is(Key::kCmp);
+          default: return Key::kOther;
+        }
+      case 4:
+        switch (n[0]) {
+          case 'p': return n[1] == 'e' ? is(Key::kPeer)
+                           : n[1] == 'r' ? is(Key::kProv)
+                                         : is(Key::kPort);
+          case 'k': return is(Key::kKind);
+          case 'f': return is(Key::kFile);
+          case 'n': return is(Key::kName);
+          case 'd': return is(Key::kDesc);
+          case 's': return is(Key::kSzkb);
+          case 't': return is(Key::kType);
+          default: return Key::kOther;
+        }
+      case 5:
+        switch (n[0]) {
+          case 'u': return is(Key::kUsers);
+          case 'f': return is(Key::kFiles);
+          case 'a': return is(Key::kAvail);
+          default: return Key::kOther;
+        }
+      default:
+        return Key::kOther;
+    }
+  }
+
+ private:
+  static std::uint32_t bit(Key k) {
+    return std::uint32_t{1} << static_cast<unsigned>(k);
+  }
+
+  std::array<std::string_view, static_cast<std::size_t>(Key::kOther)> values_;
+  std::uint32_t present_ = 0;
+};
 
 DatasetReader::DatasetReader(std::istream& in) : parser_(in) {}
 
@@ -256,18 +365,50 @@ void DatasetReader::fail(std::string message) {
   if (error_.empty()) error_ = std::move(message);
 }
 
+/// Attribute `key` as a decimal of type T.  nullopt when absent or not a
+/// number (callers report that in their own words); a number too wide for
+/// T also fails the document, naming the attribute.
+template <typename T>
+std::optional<T> DatasetReader::number(const Attrs& attrs, Key key) {
+  const std::string_view* raw = attrs.get(key);
+  if (raw == nullptr) return std::nullopt;
+  const char* end = raw->data() + raw->size();
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(raw->data(), end, value);
+  if (ptr != end) return std::nullopt;
+  if (ec == std::errc::result_out_of_range) {
+    fail("attribute " + std::string(kKeyNames[static_cast<std::size_t>(key)]) +
+         "=\"" + std::string(*raw) + "\" out of range for u" +
+         std::to_string(8 * sizeof(T)));
+    return std::nullopt;
+  }
+  if (ec != std::errc{}) return std::nullopt;
+  return value;
+}
+
+namespace {
+
+/// A 32-hex-digit hash attribute; nullopt when absent or malformed.
+std::optional<anon::StringToken> hash(const std::string_view* raw) {
+  if (raw == nullptr) return std::nullopt;
+  return Digest128::parse_hex(*raw);
+}
+
+}  // namespace
+
 std::optional<anon::AnonEvent> DatasetReader::next() {
   if (!ok()) return std::nullopt;
 
   for (;;) {
-    auto token = parser_.next();
-    if (!token) return std::nullopt;
+    const XmlToken* token = parser_.next();
+    if (token == nullptr) return std::nullopt;
     if (token->kind == XmlToken::Kind::kText) continue;
+    const Element element = element_of(token->name);
     if (token->kind == XmlToken::Kind::kEndElement) {
-      if (token->name == "capture") return std::nullopt;
+      if (element == Element::kCapture) return std::nullopt;
       continue;
     }
-    if (token->name == "capture") {
+    if (element == Element::kCapture) {
       root_seen_ = true;
       continue;
     }
@@ -275,199 +416,218 @@ std::optional<anon::AnonEvent> DatasetReader::next() {
       fail("msg outside <capture> root");
       return std::nullopt;
     }
-    if (token->name != "msg") {
-      fail("unexpected element <" + token->name + ">");
+    if (element != Element::kMsg) {
+      fail("unexpected element <" + std::string(token->name) + ">");
       return std::nullopt;
     }
 
+    const Attrs attrs(*token);
     anon::AnonEvent ev;
-    auto t = attr_u64(*token, "t");
-    auto peer = attr_u64(*token, "peer");
-    const std::string* dir = token->attr("dir");
+    auto t = number<SimTime>(attrs, Key::kT);
+    auto peer = number<anon::AnonClientId>(attrs, Key::kPeer);
+    const std::string_view* dir = attrs.get(Key::kDir);
     if (!t || !peer || dir == nullptr || (*dir != "q" && *dir != "a")) {
       fail("msg missing t/peer/dir");
       return std::nullopt;
     }
     ev.time = *t;
-    ev.peer = static_cast<anon::AnonClientId>(*peer);
+    ev.peer = *peer;
     ev.is_query = (*dir == "q");
-    auto body = parse_body(*token);
-    if (!body) return std::nullopt;
-    ev.message = std::move(*body);
+    if (!parse_body(attrs, ev.message)) return std::nullopt;
     return ev;
   }
 }
 
-namespace {
-
 /// Recursive expression parse: `start` is the already-consumed start tag.
-anon::AnonSearchExprPtr parse_expr(XmlParser& parser, const XmlToken& start,
-                                   bool& ok) {
-  using Kind = proto::SearchExpr::Kind;
+/// Its attributes are read before the first parser_.next(), which ends the
+/// token's life; only its element survives into the child loop.
+anon::AnonSearchExprPtr DatasetReader::parse_expr(const XmlToken& start) {
+  using ExprKind = proto::SearchExpr::Kind;
+  const Element element = element_of(start.name);
+  const Attrs attrs(start);
   auto e = std::make_unique<anon::AnonSearchExpr>();
 
-  if (start.name == "kw") {
-    e->kind = Kind::kKeyword;
-    e->token = attr_hash(start, "h");
-    if (!e->token) ok = false;
-  } else if (start.name == "meta") {
-    e->kind = Kind::kMetaString;
-    e->token = attr_hash(start, "h");
-    e->tag_token = attr_hash(start, "tag");
-    if (!e->token || !e->tag_token) ok = false;
-  } else if (start.name == "num") {
-    e->kind = Kind::kMetaNumeric;
-    e->tag_token = attr_hash(start, "tag");
-    auto v = attr_u64(start, "v");
-    const std::string* cmp = start.attr("cmp");
-    if (!e->tag_token || !v || cmp == nullptr || (*cmp != "min" && *cmp != "max")) {
-      ok = false;
-    } else {
-      e->number = static_cast<std::uint32_t>(*v);
+  switch (element) {
+    case Element::kKw:
+      e->kind = ExprKind::kKeyword;
+      e->token = hash(attrs.get(Key::kH));
+      if (!e->token) return nullptr;
+      break;
+    case Element::kMeta:
+      e->kind = ExprKind::kMetaString;
+      e->token = hash(attrs.get(Key::kH));
+      e->tag_token = hash(attrs.get(Key::kTag));
+      if (!e->token || !e->tag_token) return nullptr;
+      break;
+    case Element::kNum: {
+      e->kind = ExprKind::kMetaNumeric;
+      e->tag_token = hash(attrs.get(Key::kTag));
+      auto v = number<std::uint32_t>(attrs, Key::kV);
+      const std::string_view* cmp = attrs.get(Key::kCmp);
+      if (!e->tag_token || !v || cmp == nullptr ||
+          (*cmp != "min" && *cmp != "max")) {
+        return nullptr;
+      }
+      e->number = *v;
       e->cmp = *cmp == "min" ? proto::NumCmp::kMin : proto::NumCmp::kMax;
+      break;
     }
-  } else if (start.name == "and" || start.name == "or" ||
-             start.name == "andnot") {
-    e->kind = Kind::kBool;
-    e->op = start.name == "and"  ? proto::BoolOp::kAnd
-            : start.name == "or" ? proto::BoolOp::kOr
-                                 : proto::BoolOp::kAndNot;
-  } else {
-    ok = false;
+    case Element::kAnd:
+    case Element::kOr:
+    case Element::kAndNot:
+      e->kind = ExprKind::kBool;
+      e->op = element == Element::kAnd  ? proto::BoolOp::kAnd
+              : element == Element::kOr ? proto::BoolOp::kOr
+                                        : proto::BoolOp::kAndNot;
+      break;
+    default:
+      return nullptr;
   }
-  if (!ok) return nullptr;
 
   // Consume children up to the matching end tag.
   int child_index = 0;
   for (;;) {
-    auto token = parser.next();
-    if (!token) {
-      ok = false;
-      return nullptr;
-    }
+    const XmlToken* token = parser_.next();
+    if (token == nullptr) return nullptr;
     if (token->kind == XmlToken::Kind::kText) continue;
     if (token->kind == XmlToken::Kind::kEndElement) {
-      if (token->name != start.name) ok = false;
+      if (element_of(token->name) != element) return nullptr;
       break;
     }
     // Child element: only boolean nodes have children.
-    if (e->kind != Kind::kBool || child_index > 1) {
-      ok = false;
-      return nullptr;
-    }
-    auto child = parse_expr(parser, *token, ok);
-    if (!ok) return nullptr;
+    if (e->kind != ExprKind::kBool || child_index > 1) return nullptr;
+    auto child = parse_expr(*token);
+    if (!child) return nullptr;
     (child_index == 0 ? e->left : e->right) = std::move(child);
     ++child_index;
   }
-  if (!ok) return nullptr;
-  if (e->kind == Kind::kBool && child_index != 2) {
-    ok = false;
-    return nullptr;
-  }
+  if (e->kind == ExprKind::kBool && child_index != 2) return nullptr;
   return e;
 }
 
-std::optional<anon::AnonFileEntry> parse_file_entry(const XmlToken& t) {
-  anon::AnonFileEntry f;
-  auto id = attr_u64(t, "id");
-  auto prov = attr_u64(t, "prov");
-  if (!id || !prov) return std::nullopt;
+/// An <f> entry.  Optional attributes may be absent, but one that is
+/// present must be well-formed.
+bool DatasetReader::parse_file_entry(const XmlToken& t,
+                                     anon::AnonFileEntry& f) {
+  const Attrs a(t);
+  auto id = number<anon::AnonFileId>(a, Key::kId);
+  auto prov = number<anon::AnonClientId>(a, Key::kProv);
+  if (!id || !prov) return false;
   f.file = *id;
-  f.provider = static_cast<anon::AnonClientId>(*prov);
-  if (auto port = attr_u64(t, "port")) f.port = static_cast<std::uint16_t>(*port);
-  f.meta.name = attr_hash(t, "name");
-  if (auto sz = attr_u64(t, "szkb"))
-    f.meta.size_kb = static_cast<std::uint32_t>(*sz);
-  f.meta.type = attr_hash(t, "type");
-  if (auto avail = attr_u64(t, "avail"))
-    f.meta.availability = static_cast<std::uint32_t>(*avail);
-  return f;
+  f.provider = *prov;
+  if (a.has(Key::kPort)) {
+    auto port = number<std::uint16_t>(a, Key::kPort);
+    if (!port) return false;
+    f.port = *port;
+  }
+  f.meta.name = hash(a.get(Key::kName));
+  f.meta.size_kb = number<std::uint32_t>(a, Key::kSzkb);
+  f.meta.type = hash(a.get(Key::kType));
+  f.meta.availability = number<std::uint32_t>(a, Key::kAvail);
+  return a.has(Key::kName) == f.meta.name.has_value() &&
+         a.has(Key::kSzkb) == f.meta.size_kb.has_value() &&
+         a.has(Key::kType) == f.meta.type.has_value() &&
+         a.has(Key::kAvail) == f.meta.availability.has_value();
 }
 
-}  // namespace
-
-std::optional<anon::AnonMessage> DatasetReader::parse_body(
-    const XmlToken& msg_tag) {
-  const std::string* kind = msg_tag.attr("kind");
-  if (kind == nullptr) {
-    fail("msg missing kind");
-    return std::nullopt;
+/// A self-closing child's EndElement, which the parser emits after it.
+bool DatasetReader::expect_end(const char* message) {
+  const XmlToken* end = parser_.next();
+  if (end == nullptr || end->kind != XmlToken::Kind::kEndElement) {
+    fail(message);
+    return false;
   }
+  return true;
+}
 
-  anon::AnonMessage out;
+bool DatasetReader::parse_body(const Attrs& msg, anon::AnonMessage& out) {
+  const std::string_view* kind_attr = msg.get(Key::kKind);
+  if (kind_attr == nullptr) {
+    fail("msg missing kind");
+    return false;
+  }
+  const Kind kind = kind_of(*kind_attr);
+
   bool want_children = false;
-
-  if (*kind == "statreq") {
-    out = anon::AServStatReq{};
-  } else if (*kind == "statres") {
-    anon::AServStatRes m;
-    auto users = attr_u64(msg_tag, "users");
-    auto files = attr_u64(msg_tag, "files");
-    if (!users || !files) {
-      fail("statres missing users/files");
-      return std::nullopt;
+  switch (kind) {
+    case Kind::kStatReq:
+      out = anon::AServStatReq{};
+      break;
+    case Kind::kStatRes: {
+      auto users = number<std::uint32_t>(msg, Key::kUsers);
+      auto files = number<std::uint32_t>(msg, Key::kFiles);
+      if (!users || !files) {
+        fail("statres missing users/files");
+        return false;
+      }
+      out = anon::AServStatRes{*users, *files};
+      break;
     }
-    m.users = static_cast<std::uint32_t>(*users);
-    m.files = static_cast<std::uint32_t>(*files);
-    out = m;
-  } else if (*kind == "descreq") {
-    out = anon::AServerDescReq{};
-  } else if (*kind == "descres") {
-    anon::AServerDescRes m;
-    auto name = attr_hash(msg_tag, "name");
-    auto desc = attr_hash(msg_tag, "desc");
-    if (!name || !desc) {
-      fail("descres missing name/desc");
-      return std::nullopt;
+    case Kind::kDescReq:
+      out = anon::AServerDescReq{};
+      break;
+    case Kind::kDescRes: {
+      auto name = hash(msg.get(Key::kName));
+      auto desc = hash(msg.get(Key::kDesc));
+      if (!name || !desc) {
+        fail("descres missing name/desc");
+        return false;
+      }
+      out = anon::AServerDescRes{*name, *desc};
+      break;
     }
-    m.name = *name;
-    m.description = *desc;
-    out = m;
-  } else if (*kind == "getservers") {
-    out = anon::AGetServerList{};
-  } else if (*kind == "servers") {
-    anon::AServerList m;
-    auto n = attr_u64(msg_tag, "n");
-    if (!n) {
-      fail("servers missing n");
-      return std::nullopt;
+    case Kind::kGetServers:
+      out = anon::AGetServerList{};
+      break;
+    case Kind::kServers: {
+      auto n = number<std::uint32_t>(msg, Key::kN);
+      if (!n) {
+        fail("servers missing n");
+        return false;
+      }
+      out = anon::AServerList{*n};
+      break;
     }
-    m.count = static_cast<std::uint32_t>(*n);
-    out = m;
-  } else if (*kind == "search" || *kind == "results" || *kind == "getsrc" ||
-             *kind == "foundsrc" || *kind == "publish") {
-    want_children = true;
-  } else if (*kind == "puback") {
-    anon::APublishAck m;
-    auto n = attr_u64(msg_tag, "n");
-    if (!n) {
-      fail("puback missing n");
-      return std::nullopt;
+    case Kind::kSearch:
+    case Kind::kResults:
+    case Kind::kGetSrc:
+    case Kind::kFoundSrc:
+    case Kind::kPublish:
+      want_children = true;
+      break;
+    case Kind::kPubAck: {
+      auto n = number<std::uint32_t>(msg, Key::kN);
+      if (!n) {
+        fail("puback missing n");
+        return false;
+      }
+      out = anon::APublishAck{*n};
+      break;
     }
-    m.accepted = static_cast<std::uint32_t>(*n);
-    out = m;
-  } else {
-    fail("unknown msg kind: " + *kind);
-    return std::nullopt;
+    case Kind::kUnknown:
+      fail("unknown msg kind: " + std::string(*kind_attr));
+      return false;
   }
 
   if (!want_children) {
     // Consume to </msg>.
     for (;;) {
-      auto token = parser_.next();
-      if (!token) {
+      const XmlToken* token = parser_.next();
+      if (token == nullptr) {
         fail("unterminated msg");
-        return std::nullopt;
+        return false;
       }
-      if (token->kind == XmlToken::Kind::kEndElement && token->name == "msg")
+      if (token->kind == XmlToken::Kind::kEndElement &&
+          element_of(token->name) == Element::kMsg) {
         break;
+      }
       if (token->kind == XmlToken::Kind::kStartElement) {
-        fail("unexpected child in <msg kind=\"" + *kind + "\">");
-        return std::nullopt;
+        fail("unexpected child in <msg kind=\"" +
+             std::string(kKindNames[static_cast<std::size_t>(kind)]) + "\">");
+        return false;
       }
     }
-    return out;
+    return true;
   }
 
   // Children-bearing kinds.
@@ -477,113 +637,111 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
   anon::AFoundSourcesRes foundsrc;
   anon::APublishReq publish;
 
-  if (*kind == "foundsrc") {
-    auto file = attr_u64(msg_tag, "file");
+  if (kind == Kind::kFoundSrc) {
+    auto file = number<anon::AnonFileId>(msg, Key::kFile);
     if (!file) {
       fail("foundsrc missing file");
-      return std::nullopt;
+      return false;
     }
     foundsrc.file = *file;
   }
 
   for (;;) {
-    auto token = parser_.next();
-    if (!token) {
+    const XmlToken* token = parser_.next();
+    if (token == nullptr) {
       fail("unterminated msg");
-      return std::nullopt;
+      return false;
     }
     if (token->kind == XmlToken::Kind::kText) continue;
+    const Element element = element_of(token->name);
     if (token->kind == XmlToken::Kind::kEndElement) {
-      if (token->name == "msg") break;
-      fail("mismatched end tag </" + token->name + ">");
-      return std::nullopt;
+      if (element == Element::kMsg) break;
+      fail("mismatched end tag </" + std::string(token->name) + ">");
+      return false;
     }
 
-    if (*kind == "search") {
-      bool expr_ok = true;
-      search.expr = parse_expr(parser_, *token, expr_ok);
-      if (!expr_ok || search.expr == nullptr) {
+    if (kind == Kind::kSearch) {
+      search.expr = parse_expr(*token);
+      if (search.expr == nullptr) {
         fail("malformed search expression");
-        return std::nullopt;
+        return false;
       }
-    } else if (*kind == "results" || *kind == "publish") {
-      if (token->name != "f") {
+    } else if (kind == Kind::kResults || kind == Kind::kPublish) {
+      if (element != Element::kF) {
         fail("expected <f> entry");
-        return std::nullopt;
+        return false;
       }
-      auto entry = parse_file_entry(*token);
-      if (!entry) {
+      anon::AnonFileEntry entry;
+      if (!parse_file_entry(*token, entry)) {
         fail("malformed <f> entry");
-        return std::nullopt;
+        return false;
       }
-      (*kind == "results" ? results.results : publish.files)
-          .push_back(std::move(*entry));
-      // Self-closing <f/> emits its end tag via the parser; consume it.
+      (kind == Kind::kResults ? results.results : publish.files)
+          .push_back(std::move(entry));
       if (!token->self_closing) {
         fail("<f> must be empty");
-        return std::nullopt;
+        return false;
       }
-      auto end = parser_.next();
-      if (!end || end->kind != XmlToken::Kind::kEndElement) {
-        fail("expected </f>");
-        return std::nullopt;
-      }
-    } else if (*kind == "getsrc") {
-      if (token->name != "f") {
+      if (!expect_end("expected </f>")) return false;
+    } else if (kind == Kind::kGetSrc) {
+      if (element != Element::kF) {
         fail("expected <f> entry");
-        return std::nullopt;
+        return false;
       }
-      auto id = attr_u64(*token, "id");
+      auto id = number<anon::AnonFileId>(Attrs(*token), Key::kId);
       if (!id) {
         fail("<f> missing id");
-        return std::nullopt;
+        return false;
       }
       getsrc.files.push_back(*id);
       if (!token->self_closing) {
         fail("<f> must be empty");
-        return std::nullopt;
+        return false;
       }
-      auto end = parser_.next();
-      if (!end || end->kind != XmlToken::Kind::kEndElement) {
-        fail("expected </f>");
-        return std::nullopt;
-      }
-    } else if (*kind == "foundsrc") {
-      if (token->name != "s") {
+      if (!expect_end("expected </f>")) return false;
+    } else {  // foundsrc
+      if (element != Element::kS) {
         fail("expected <s> source");
-        return std::nullopt;
+        return false;
       }
-      auto c = attr_u64(*token, "c");
-      auto p = attr_u64(*token, "p");
+      const Attrs a(*token);
+      auto c = number<anon::AnonClientId>(a, Key::kC);
+      auto p = number<std::uint16_t>(a, Key::kP);
       if (!c || !p) {
         fail("<s> missing c/p");
-        return std::nullopt;
+        return false;
       }
-      foundsrc.sources.push_back(
-          {static_cast<anon::AnonClientId>(*c), static_cast<std::uint16_t>(*p)});
+      foundsrc.sources.push_back({*c, *p});
       if (!token->self_closing) {
         fail("<s> must be empty");
-        return std::nullopt;
+        return false;
       }
-      auto end = parser_.next();
-      if (!end || end->kind != XmlToken::Kind::kEndElement) {
-        fail("expected </s>");
-        return std::nullopt;
-      }
+      if (!expect_end("expected </s>")) return false;
     }
   }
 
-  if (*kind == "search") {
-    if (search.expr == nullptr) {
-      fail("search without expression");
-      return std::nullopt;
-    }
-    return anon::AnonMessage{std::move(search)};
+  switch (kind) {
+    case Kind::kSearch:
+      if (search.expr == nullptr) {
+        fail("search without expression");
+        return false;
+      }
+      out = std::move(search);
+      break;
+    case Kind::kResults:
+      out = std::move(results);
+      break;
+    case Kind::kGetSrc:
+      out = std::move(getsrc);
+      break;
+    case Kind::kFoundSrc:
+      out = std::move(foundsrc);
+      break;
+    default:
+      out = std::move(publish);
+      break;
   }
-  if (*kind == "results") return anon::AnonMessage{std::move(results)};
-  if (*kind == "getsrc") return anon::AnonMessage{std::move(getsrc)};
-  if (*kind == "foundsrc") return anon::AnonMessage{std::move(foundsrc)};
-  return anon::AnonMessage{std::move(publish)};
+  return true;
 }
 
 }  // namespace dtr::xmlio

@@ -74,7 +74,9 @@ class DatasetWriter {
 /// any order.
 std::uint64_t render_event(const anon::AnonEvent& event, std::string& out);
 
-/// Streams AnonEvents back out of a dataset document.
+/// Streams AnonEvents back out of a dataset document.  Numbers must fit
+/// the width docs/DATASET_SPEC.md declares for their field, and hashes must
+/// be 32 hex digits; anything else is a malformed document.
 class DatasetReader {
  public:
   explicit DatasetReader(std::istream& in);
@@ -88,8 +90,16 @@ class DatasetReader {
   }
 
  private:
+  enum class Key : std::uint8_t;  // attribute names the schema uses
+  struct Attrs;                   // one tag's attributes, by Key
+
   void fail(std::string message);
-  std::optional<anon::AnonMessage> parse_body(const XmlToken& msg_tag);
+  bool parse_body(const Attrs& msg, anon::AnonMessage& out);
+  anon::AnonSearchExprPtr parse_expr(const XmlToken& start);
+  bool parse_file_entry(const XmlToken& t, anon::AnonFileEntry& f);
+  bool expect_end(const char* message);
+  template <typename T>
+  std::optional<T> number(const Attrs& attrs, Key key);
 
   XmlParser parser_;
   bool ok_ = true;

@@ -113,16 +113,18 @@ void DatasetValidator::consume(const anon::AnonEvent& event) {
 }
 
 
+std::vector<Violation> DatasetValidator::findings(
+    const DatasetReader& reader) const {
+  std::vector<Violation> out = violations_;
+  if (!reader.ok()) out.push_back(Violation{index_, "parse", reader.error()});
+  return out;
+}
+
 std::vector<Violation> DatasetValidator::validate_document(std::istream& in) {
   DatasetReader reader(in);
   DatasetValidator validator;
   while (auto ev = reader.next()) validator.consume(*ev);
-  auto violations = validator.violations_;
-  if (!reader.ok()) {
-    violations.push_back(
-        Violation{validator.events(), "parse", reader.error()});
-  }
-  return violations;
+  return validator.findings(reader);
 }
 
 }  // namespace dtr::xmlio

@@ -27,6 +27,8 @@
 
 namespace dtr::xmlio {
 
+class DatasetReader;
+
 struct Violation {
   std::uint64_t event_index = 0;
   std::string rule;     // "V1".."V5"
@@ -43,6 +45,11 @@ class DatasetValidator {
   }
   [[nodiscard]] bool valid() const { return violations_.empty(); }
   [[nodiscard]] std::uint64_t events() const { return index_; }
+
+  /// The violations so far, plus one "parse" violation if `reader`, which
+  /// fed this validator, stopped on a malformed document.
+  [[nodiscard]] std::vector<Violation> findings(
+      const DatasetReader& reader) const;
 
   /// Validate a whole document; returns the violations (empty = valid).
   /// Parse errors are reported as a single "parse" violation.

@@ -2,6 +2,7 @@
 // incremental-update properties.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
 #include <tuple>
 
@@ -138,6 +139,20 @@ TEST(Digest, HexRoundtrip) {
 TEST(Digest, FromHexRejectsBadInput) {
   EXPECT_EQ(Digest128::from_hex("xyz"), Digest128{});
   EXPECT_EQ(Digest128::from_hex("ab"), Digest128{});  // too short
+}
+
+TEST(Digest, ParseHexTakesExactly32HexDigits) {
+  const Digest128 d = Md5::digest(std::string_view("parse"));
+  const std::string hex = d.hex();
+  EXPECT_EQ(Digest128::parse_hex(hex), d);
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  EXPECT_EQ(Digest128::parse_hex(upper), d);
+  EXPECT_FALSE(Digest128::parse_hex(std::string(32, 'z')));
+  EXPECT_FALSE(Digest128::parse_hex(hex.substr(0, 31) + "g"));
+  EXPECT_FALSE(Digest128::parse_hex(hex.substr(1)));
+  EXPECT_FALSE(Digest128::parse_hex(hex + "0"));
+  EXPECT_FALSE(Digest128::parse_hex(""));
 }
 
 TEST(Digest, OrderingIsLexicographic) {

@@ -156,6 +156,26 @@ TEST_P(FuzzSeeds, XmlParserNeverCrashes) {
     int tokens = 0;
     while (parser.next() && tokens < 10000) ++tokens;
   }
+  // Documents larger than one input block, built from fragments the parser
+  // accepts so that it reads deep into them before any mutation.
+  const char* fragments[] = {"<a x=\"1\">", "</a>",   "<!-- c -->", "text",
+                             "&amp;",          "<?p?>", "<b/>",       "\n  ",
+                             "<c k=\"&lt;v\" j = \"2\" />"};
+  for (int i = 0; i < 4; ++i) {
+    std::string doc;
+    while (doc.size() < 3 * xmlio::XmlParser::kBlockSize) {
+      doc += fragments[rng.below(std::size(fragments))];
+    }
+    std::size_t mutations = rng.below(4);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      doc[rng.below(doc.size())] = alphabet[rng.below(sizeof(alphabet) - 1)];
+    }
+    if (rng.chance(0.5)) doc.resize(rng.below(doc.size()));
+    std::istringstream in(doc);
+    xmlio::XmlParser parser(in);
+    while (parser.next()) {
+    }
+  }
 }
 
 TEST_P(FuzzSeeds, DatasetReaderNeverCrashesOnMutatedDocuments) {
@@ -183,6 +203,40 @@ TEST_P(FuzzSeeds, DatasetReaderNeverCrashesOnMutatedDocuments) {
     xmlio::DatasetReader reader(in);
     int events = 0;
     while (reader.next() && events < 100) ++events;
+  }
+
+  // Documents larger than one input block: mutations land past the first
+  // refill of the reader's window.
+  std::ostringstream big_out;
+  {
+    xmlio::DatasetWriter w(big_out);
+    anon::AnonEvent ev;
+    ev.time = 1;
+    ev.peer = 0;
+    ev.is_query = false;
+    anon::AFileSearchRes res;
+    anon::AnonFileEntry entry;
+    entry.file = 0;
+    entry.provider = 0;
+    entry.port = 4662;
+    entry.meta.name = Md5::digest(std::string_view("name"));
+    entry.meta.size_kb = 700;
+    res.results.assign(3, entry);
+    ev.message = std::move(res);
+    const auto target = 3 * static_cast<long>(xmlio::XmlParser::kBlockSize);
+    while (big_out.tellp() < target) w.write(ev);
+  }
+  const std::string big = big_out.str();
+  for (int i = 0; i < 20; ++i) {
+    std::string doc = big;
+    std::size_t mutations = 1 + rng.below(5);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      doc[rng.below(doc.size())] = static_cast<char>(32 + rng.below(95));
+    }
+    std::istringstream in(doc);
+    xmlio::DatasetReader reader(in);
+    while (reader.next()) {
+    }
   }
 }
 

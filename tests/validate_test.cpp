@@ -120,6 +120,27 @@ TEST(Validator, DocumentEntryPointReportsParseErrors) {
   EXPECT_EQ(violations.back().rule, "parse");
 }
 
+TEST(Validator, OversizedFileSizeIsAFindingNotAWrap) {
+  // szkb past u32 must not wrap to 1 KB and hide the V5 breach.
+  std::istringstream in(
+      R"(<capture><msg t="1" peer="0" dir="q" kind="publish">)"
+      R"(<f id="0" prov="0" szkb="4294967297"/></msg></capture>)");
+  auto violations = DatasetValidator::validate_document(in);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "parse");
+  EXPECT_NE(violations[0].message.find("szkb"), std::string::npos)
+      << violations[0].message;
+}
+
+TEST(Validator, MalformedHashIsAFinding) {
+  std::istringstream in(
+      R"(<capture><msg t="1" peer="0" dir="q" kind="search"><kw h=")" +
+      std::string(32, 'z') + R"("/></msg></capture>)");
+  auto violations = DatasetValidator::validate_document(in);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "parse");
+}
+
 TEST(Validator, PipelineOutputAlwaysValidates) {
   core::RunnerConfig cfg = core::RunnerConfig::tiny(61);
   cfg.buffer.capacity = 1 << 20;

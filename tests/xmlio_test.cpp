@@ -1,7 +1,10 @@
 // XML writer, pull parser, and dataset schema round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <streambuf>
+#include <string_view>
 
 #include "anon/anonymiser.hpp"
 #include "common/rng.hpp"
@@ -94,11 +97,38 @@ TEST(Writer, DeclarationAndElementCount) {
 // Parser
 // ---------------------------------------------------------------------------
 
-std::vector<XmlToken> parse_all(const std::string& xml) {
+// A token copied out of the parser: XmlParser's tokens view its window and
+// are only valid until the next next() call.
+struct OwnedToken {
+  XmlToken::Kind kind = XmlToken::Kind::kText;
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> attrs;
+  std::string text;
+  bool self_closing = false;
+
+  [[nodiscard]] const std::string* attr(std::string_view key) const {
+    for (const auto& [k, v] : attrs) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+};
+
+OwnedToken own(const XmlToken& t) {
+  OwnedToken o;
+  o.kind = t.kind;
+  o.name = t.name;
+  for (const auto& [k, v] : t.attrs) o.attrs.emplace_back(k, v);
+  o.text = t.text;
+  o.self_closing = t.self_closing;
+  return o;
+}
+
+std::vector<OwnedToken> parse_all(const std::string& xml) {
   std::istringstream in(xml);
   XmlParser p(in);
-  std::vector<XmlToken> tokens;
-  while (auto t = p.next()) tokens.push_back(*t);
+  std::vector<OwnedToken> tokens;
+  while (const XmlToken* t = p.next()) tokens.push_back(own(*t));
   EXPECT_TRUE(p.ok()) << p.error();
   return tokens;
 }
@@ -145,21 +175,34 @@ TEST(Parser, WhitespaceBetweenElementsIgnored) {
 }
 
 TEST(Parser, MalformedInputsFlagError) {
-  for (const char* bad :
-       {"<a", "<a x=1></a>", "<a x=\"1></a>", "<a>&unknown;</a>", "<>",
-        "<a></b>" /* mismatch is caught by schema layer, parser accepts */}) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"<a", "unterminated start tag"},
+      {"<a x=1></a>", "expected '\"'"},
+      {"<a x=\"1></a>", "unterminated attribute value"},
+      {"<a>&unknown;</a>", "unknown entity: unknown"},
+      {"<>", "empty name"},
+      {"<a k=\"&amp\"/>", "unterminated entity"},
+      {"</a", "expected '>'"},
+      {"<a x>", "expected '='"},
+      {"<a/x>", "expected '>'"},
+      {"<?xml", "unterminated declaration"},
+      {"<!x>", "malformed comment"},
+      {"<!-- x", "unterminated comment"},
+  };
+  for (const auto& [bad, message] : cases) {
     std::istringstream in(bad);
     XmlParser p(in);
-    bool saw_error = false;
-    while (auto t = p.next()) {
+    while (p.next()) {
     }
-    saw_error = !p.ok();
-    if (std::string(bad) == "<a></b>") {
-      EXPECT_TRUE(p.ok());
-    } else {
-      EXPECT_TRUE(saw_error) << "input: " << bad;
-    }
+    EXPECT_FALSE(p.ok()) << "input: " << bad;
+    EXPECT_EQ(p.error(), message) << "input: " << bad;
   }
+  // A mismatched end tag is caught by the schema layer; the parser accepts it.
+  std::istringstream in("<a></b>");
+  XmlParser p(in);
+  while (p.next()) {
+  }
+  EXPECT_TRUE(p.ok());
 }
 
 TEST(Parser, WriterOutputAlwaysParses) {
@@ -177,6 +220,31 @@ TEST(Parser, WriterOutputAlwaysParses) {
   int starts = 0;
   for (const auto& t : tokens) starts += (t.kind == XmlToken::Kind::kStartElement);
   EXPECT_EQ(starts, 11);
+}
+
+TEST(Parser, EntityValuesOfOneTagStayDistinct) {
+  // Each decoded value lives in the parser's decode buffer; decoding a
+  // later value must not move an earlier one.
+  const std::string a(700, 'a'), b(900, 'b'), c(1100, 'c');
+  auto tokens = parse_all(R"(<t x="&lt;)" + a + R"(" y=")" + b +
+                          R"(&gt;" p="plain" z="&amp;)" + c + R"(&quot;"/>)");
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(*tokens[0].attr("x"), "<" + a);
+  EXPECT_EQ(*tokens[0].attr("y"), b + ">");
+  EXPECT_EQ(*tokens[0].attr("p"), "plain");
+  EXPECT_EQ(*tokens[0].attr("z"), "&" + c + "\"");
+}
+
+TEST(Parser, TokensLargerThanTheWindowGrowIt) {
+  const std::string value(3 * XmlParser::kBlockSize + 17, 'v');
+  const std::string text(2 * XmlParser::kBlockSize, 't');
+  auto tokens = parse_all("<a k=\"" + value + "\">" + text + "</a><!--" +
+                          std::string(XmlParser::kBlockSize, '-') + "-->");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(*tokens[0].attr("k"), value);
+  EXPECT_EQ(tokens[1].text, text);
+  EXPECT_EQ(tokens[2].kind, XmlToken::Kind::kEndElement);
+  EXPECT_EQ(tokens[2].name, "a");
 }
 
 // ---------------------------------------------------------------------------
@@ -423,6 +491,222 @@ TEST(Schema, HashesSurviveRoundtripExactly) {
   ASSERT_TRUE(got);
   const auto& m = std::get<anon::AServerDescRes>(got->message);
   EXPECT_EQ(m.name.hex(), tok("x").hex());
+}
+
+std::string capture(const std::string& msg) {
+  return "<capture>" + msg + "</capture>";
+}
+
+// Reads `doc` to the end; returns the reader's error ("" when it is ok).
+std::string read_error(const std::string& doc) {
+  std::istringstream in(doc);
+  DatasetReader r(in);
+  while (r.next()) {
+  }
+  return r.ok() ? std::string() : r.error();
+}
+
+// A <msg> at t=1 from peer 0; `rest` closes its start tag and holds the body.
+std::string msg(const char* dir, const char* kind, const std::string& rest) {
+  return std::string(R"(<msg t="1" peer="0" dir=")") + dir + R"(" kind=")" +
+         kind + "\"" + rest;
+}
+
+TEST(Schema, ReaderRejectsMalformedHashes) {
+  using Doc = std::string (*)(const std::string& hash);
+  const Doc docs[] = {
+      [](const std::string& h) {
+        return msg("q", "search", R"(><kw h=")" + h + R"("/></msg>)");
+      },
+      [](const std::string& h) {
+        return msg("q", "search", R"(><meta h=")" + tok("k").hex() +
+                                      R"(" tag=")" + h + R"("/></msg>)");
+      },
+      [](const std::string& h) {
+        return msg("a", "descres", R"( name=")" + h + R"(" desc=")" +
+                                       tok("d").hex() + R"("/>)");
+      },
+      [](const std::string& h) {
+        return msg("q", "publish",
+                   R"(><f id="0" prov="0" name=")" + h + R"("/></msg>)");
+      },
+      [](const std::string& h) {
+        return msg("a", "results",
+                   R"(><f id="0" prov="0" type=")" + h + R"("/></msg>)");
+      },
+  };
+  const std::string good = tok("x").hex();
+  const std::string bad_hashes[] = {std::string(32, 'z'),
+                                    good.substr(0, 31) + "g", good + "0",
+                                    good.substr(1)};
+  for (Doc doc : docs) {
+    EXPECT_EQ(read_error(capture(doc(good))), "") << doc(good);
+    for (const std::string& bad : bad_hashes) {
+      EXPECT_NE(read_error(capture(doc(bad))), "") << doc(bad);
+    }
+  }
+}
+
+TEST(Schema, ReaderRejectsNumbersWiderThanTheirField) {
+  struct Case {
+    std::string (*doc)(const std::string& v);
+    const char* max;   // largest value of the field's width: reads
+    const char* over;  // a value past the width: fails
+  };
+  const Case cases[] = {
+      {[](const std::string& v) {
+         return R"(<msg t=")" + v + R"(" peer="0" dir="q" kind="statreq"/>)";
+       },
+       "18446744073709551615", "18446744073709551616"},
+      {[](const std::string& v) {
+         return R"(<msg t="1" peer=")" + v + R"(" dir="q" kind="statreq"/>)";
+       },
+       "4294967295", "4294967296"},
+      {[](const std::string& v) {
+         return msg("a", "statres", R"( users=")" + v + R"(" files="1"/>)");
+       },
+       "4294967295", "4294967296"},
+      {[](const std::string& v) {
+         return msg("a", "servers", R"( n=")" + v + R"("/>)");
+       },
+       "4294967295", "8589934592"},
+      {[](const std::string& v) {
+         return msg("a", "results",
+                    R"(><f id="0" prov="0" port=")" + v + R"("/></msg>)");
+       },
+       "65535", "70000"},
+      {[](const std::string& v) {
+         return msg("q", "publish",
+                    R"(><f id="0" prov="0" szkb=")" + v + R"("/></msg>)");
+       },
+       "4294967295", "4294967297"},
+      {[](const std::string& v) {
+         return msg("q", "publish",
+                    R"(><f id="0" prov=")" + v + R"(" avail="1"/></msg>)");
+       },
+       "4294967295", "4294967296"},
+      {[](const std::string& v) {
+         return msg("a", "foundsrc",
+                    R"( file="0"><s c="1" p=")" + v + R"("/></msg>)");
+       },
+       "65535", "65536"},
+      {[](const std::string& v) {
+         return msg("a", "foundsrc",
+                    R"( file="0"><s c=")" + v + R"(" p="1"/></msg>)");
+       },
+       "4294967295", "4294967296"},
+      {[](const std::string& v) {
+         return msg("q", "search", R"(><num tag=")" + tok("size").hex() +
+                                       R"(" cmp="min" v=")" + v +
+                                       R"("/></msg>)");
+       },
+       "4294967295", "4294967296"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(read_error(capture(c.doc(c.max))), "") << c.doc(c.max);
+    const std::string error = read_error(capture(c.doc(c.over)));
+    EXPECT_NE(error.find("out of range"), std::string::npos)
+        << c.doc(c.over) << " -> " << error;
+  }
+}
+
+TEST(Schema, ReaderKeepsTheFirstOfRepeatedAttributes) {
+  std::istringstream in(
+      capture(R"(<msg t="5" peer="3" peer="4" dir="q" kind="statreq"/>)"));
+  DatasetReader r(in);
+  auto ev = r.next();
+  ASSERT_TRUE(ev) << r.error();
+  EXPECT_EQ(ev->peer, 3u);
+}
+
+// Hands out 1-7 bytes per read, so every token of a document straddles
+// several refills of the parser's window.  The parser reads through
+// sgetn() only.
+class DribbleBuf : public std::streambuf {
+ public:
+  DribbleBuf(std::string_view data, std::uint64_t seed)
+      : data_(data), rng_(seed) {}
+
+ protected:
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    const std::size_t take =
+        std::min({data_.size() - pos_, static_cast<std::size_t>(n),
+                  static_cast<std::size_t>(1 + rng_.below(7))});
+    data_.copy(s, take, pos_);
+    pos_ += take;
+    return static_cast<std::streamsize>(take);
+  }
+
+ private:
+  std::string_view data_;
+  std::size_t pos_ = 0;
+  Rng rng_;
+};
+
+TEST(Schema, RefillSeamsPreserveEveryEvent) {
+  // A multi-megabyte pretty-printed document (declaration included), with
+  // comments, entity-bearing text and an entity-bearing attribute the
+  // reader ignores spliced in before the <msg> elements.
+  std::vector<anon::AnonEvent> events;
+  std::ostringstream out;
+  {
+    DatasetWriter w(out, /*pretty=*/true);
+    for (std::uint64_t round = 0; out.tellp() < (3 << 20); ++round) {
+      for (auto& ev : sample_events()) {
+        ev.time += round * 100;
+        w.write(ev);
+        events.push_back(std::move(ev));
+      }
+    }
+  }
+  const std::string written = out.str();
+  std::string doc;
+  std::size_t msgs = 0;
+  for (std::size_t at = 0;;) {
+    const std::size_t next = written.find("<msg ", at);
+    doc.append(written, at, next - at);
+    if (next == std::string::npos) break;
+    switch (msgs++ % 3) {
+      case 0:
+        doc += "<!-- msg " + std::to_string(msgs) + " -->";
+        break;
+      case 1:
+        doc += "x &lt; y &amp;&amp; z &gt; w";
+        break;
+      case 2:
+        doc += R"(<msg note="a&amp;b&quot;c&lt;&gt;&apos;" )";
+        at = next + 5;
+        continue;
+    }
+    doc += "<msg ";
+    at = next + 5;
+  }
+  ASSERT_EQ(msgs, events.size());
+  ASSERT_GT(doc.size(), 3u << 20);
+  ASSERT_TRUE(doc.starts_with("<?xml"));
+
+  const auto check = [&](std::istream& in, const char* how) {
+    DatasetReader r(in);
+    std::size_t i = 0;
+    while (auto ev = r.next()) {
+      ASSERT_LT(i, events.size()) << how;
+      ASSERT_EQ(ev->time, events[i].time) << how << " event " << i;
+      ASSERT_EQ(ev->peer, events[i].peer) << how << " event " << i;
+      ASSERT_EQ(ev->is_query, events[i].is_query) << how << " event " << i;
+      ASSERT_TRUE(anon_messages_equal(ev->message, events[i].message))
+          << how << " event " << i;
+      ++i;
+    }
+    EXPECT_TRUE(r.ok()) << how << ": " << r.error();
+    EXPECT_EQ(i, events.size()) << how;
+  };
+  std::istringstream blocks(doc);
+  check(blocks, "64 KiB blocks");
+  for (std::uint64_t seed : {1u, 2u}) {
+    DribbleBuf buf(doc, seed);
+    std::istream dribble(&buf);
+    check(dribble, "1-7 byte reads");
+  }
 }
 
 // ---------------------------------------------------------------------------

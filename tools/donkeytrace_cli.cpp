@@ -671,26 +671,26 @@ int cmd_analyze(const cli::Args& args) {
     std::cerr << "cannot load " << path << "\n";
     return 1;
   }
-  // Validate against the formal spec (docs/DATASET_SPEC.md) first; a
-  // dataset that violates its invariants yields meaningless statistics.
-  {
-    std::istringstream in(*xml);
-    auto violations = xmlio::DatasetValidator::validate_document(in);
-    if (!violations.empty()) {
-      std::cerr << "dataset violates the specification ("
-                << violations.size() << " finding(s)); first: ["
-                << violations.front().rule << "] "
-                << violations.front().message << " at event "
-                << violations.front().event_index << "\n";
-      if (!args.has("force")) return 1;
-      std::cerr << "--force given: analyzing anyway\n";
-    }
-  }
-
+  // One pass: every event feeds both the validator (docs/DATASET_SPEC.md)
+  // and the statistics.  A dataset that violates its invariants yields
+  // meaningless statistics, so findings stop the report unless --force.
   std::istringstream in(*xml);
   xmlio::DatasetReader reader(in);
+  xmlio::DatasetValidator validator;
   analysis::CampaignStats stats;
-  while (auto ev = reader.next()) stats.consume(*ev);
+  while (auto ev = reader.next()) {
+    validator.consume(*ev);
+    stats.consume(*ev);
+  }
+  const std::vector<xmlio::Violation> violations = validator.findings(reader);
+  if (!violations.empty()) {
+    std::cerr << "dataset violates the specification (" << violations.size()
+              << " finding(s)); first: [" << violations.front().rule << "] "
+              << violations.front().message << " at event "
+              << violations.front().event_index << "\n";
+    if (!args.has("force")) return 1;
+    std::cerr << "--force given: analyzing anyway\n";
+  }
   if (!reader.ok()) {
     std::cerr << "malformed dataset: " << reader.error() << "\n";
     return 1;
