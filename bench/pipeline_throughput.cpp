@@ -7,21 +7,17 @@
 //
 //   * the serial CapturePipeline (reference), and
 //   * the ParallelCapturePipeline at 2, 4 and 8 workers over the sharded
-//     anonymiser, in two data-plane modes: "perframe" (batch size 1,
-//     pooling off, writer inline — the pre-batching per-frame hand-off
-//     path) and "batched" (micro-batches over SPSC rings + buffer pooling
-//     + parallel anonymise/pre-render + offloaded XML writer).
+//     anonymiser (micro-batches over SPSC rings, buffer pooling, parallel
+//     anonymise/pre-render and the XML writer thread).
 //
 // Every run must produce the same message count and the same number of
 // XML bytes (a built-in differential check); the JSON it emits
 // (BENCH_pipeline.json) records frames/s, messages/s and allocation
-// counts per run, plus the batched-vs-perframe speedup at 4 workers.
-// Smoke mode (--smoke) shrinks the campaign to seconds for CI; on hosts
-// with >= 4 hardware threads it additionally asserts the perf-regression
-// floor (4-worker batched must reach 85% of serial messages/s — in
-// practice it should exceed it).  Below 4 hardware threads the floor is
-// reported but advisory: parallel overhead on an oversubscribed core is
-// real, not a regression.
+// counts per run.  Smoke mode (--smoke) shrinks the campaign to seconds
+// for CI; on hosts with >= 4 hardware threads it additionally asserts the
+// perf-regression floor (4 workers must reach 85% of serial messages/s).
+// Below 4 hardware threads the floor is reported but advisory: parallel
+// overhead on an oversubscribed core is real, not a regression.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -144,10 +140,6 @@ std::vector<sim::TimedFrame> build_corpus(const sim::CampaignConfig& campaign,
 struct RunSpec {
   const char* name;
   std::size_t workers;  // 0 = serial CapturePipeline
-  std::size_t batch_frames;
-  bool buffer_pool;
-  bool writer_offload;
-  std::size_t anon_shards = 8;
   /// Stream the dataset through the chunked compressor (writer.compress
   /// pool of `compress_threads`; container bytes identical across specs).
   bool compress = false;
@@ -199,10 +191,6 @@ RunStats run_once(const std::vector<sim::TimedFrame>& frames,
   } else {
     core::ParallelPipelineConfig cfg;
     cfg.workers = spec.workers;
-    cfg.batch_frames = spec.batch_frames;
-    cfg.buffer_pool = spec.buffer_pool;
-    cfg.writer_offload = spec.writer_offload;
-    cfg.anon_shards = spec.anon_shards;
     cfg.xml_out = xml;
     cfg.metrics = metrics;
     cfg.profiler = profiler;
@@ -247,19 +235,17 @@ int run_bench(bool smoke, const std::string& out_path) {
             << (smoke ? "smoke" : "full") << " mode)\n";
 
   const RunSpec specs[] = {
-      {"serial", 0, 1, false, false},
-      {"parallel-2w-perframe", 2, 1, false, false},
-      {"parallel-2w-batched", 2, 128, true, true},
-      {"parallel-4w-perframe", 4, 1, false, false},
-      {"parallel-4w-batched", 4, 128, true, true},
-      {"parallel-8w-batched", 8, 128, true, true},
+      {"serial", 0},
+      {"parallel-2w", 2},
+      {"parallel-4w", 4},
+      {"parallel-8w", 8},
       // Compressed-writer configurations: the dataset streams through the
       // chunked compressor.  The uncompressed byte count must still match
       // every run above, and the container bytes must be identical across
       // pipeline shapes and pool sizes (the determinism contract).
-      {"serial-compressed-2t", 0, 1, false, false, 8, true, 2},
-      {"parallel-4w-batched-compressed-1t", 4, 128, true, true, 8, true, 1},
-      {"parallel-4w-batched-compressed-4t", 4, 128, true, true, 8, true, 4},
+      {"serial-compressed-2t", 0, true, 2},
+      {"parallel-4w-compressed-1t", 4, true, 1},
+      {"parallel-4w-compressed-4t", 4, true, 4},
   };
 
   std::string runs_json;
@@ -268,9 +254,8 @@ int run_bench(bool smoke, const std::string& out_path) {
   std::uint64_t reference_compressed_bytes = 0;
   double compressed_4w = 0.0;
   double serial_rate = 0.0;
-  double perframe_4w = 0.0;
-  double batched_4w = 0.0;
-  double batched_8w = 0.0;
+  double parallel_4w = 0.0;
+  double parallel_8w = 0.0;
   bool ok = true;
 
   for (const RunSpec& spec : specs) {
@@ -313,26 +298,15 @@ int run_bench(bool smoke, const std::string& out_path) {
       }
     }
     if (std::string(spec.name) == "serial") serial_rate = messages_per_s;
-    if (std::string(spec.name) == "parallel-4w-perframe") {
-      perframe_4w = messages_per_s;
-    }
-    if (std::string(spec.name) == "parallel-4w-batched") {
-      batched_4w = messages_per_s;
-    }
-    if (std::string(spec.name) == "parallel-8w-batched") {
-      batched_8w = messages_per_s;
-    }
-    if (std::string(spec.name) == "parallel-4w-batched-compressed-4t") {
+    if (std::string(spec.name) == "parallel-4w") parallel_4w = messages_per_s;
+    if (std::string(spec.name) == "parallel-8w") parallel_8w = messages_per_s;
+    if (std::string(spec.name) == "parallel-4w-compressed-4t") {
       compressed_4w = messages_per_s;
     }
 
     if (!runs_json.empty()) runs_json += ",\n";
     runs_json += "    {\"name\": \"" + std::string(spec.name) +
                  "\", \"workers\": " + std::to_string(spec.workers) +
-                 ", \"batch_frames\": " + std::to_string(spec.batch_frames) +
-                 ", \"buffer_pool\": " + (spec.buffer_pool ? "true" : "false") +
-                 ", \"writer_offload\": " +
-                 (spec.writer_offload ? "true" : "false") +
                  ", \"seconds\": " + fmt_double(stats.seconds) +
                  ", \"frames_per_s\": " + fmt_double(frames_per_s) +
                  ", \"messages_per_s\": " + fmt_double(messages_per_s) +
@@ -348,8 +322,8 @@ int run_bench(bool smoke, const std::string& out_path) {
                  "}";
   }
 
-  // Perf-regression floor: with enough real cores, the 4-worker batched
-  // pipeline must not fall behind serial (15% slack for machine noise).
+  // Perf-regression floor: with enough real cores, the 4-worker pipeline
+  // must not fall behind serial (15% slack for machine noise).
   // On narrower hosts the same ratio is reported but only advisory: the
   // parallel pipeline's coordination overhead cannot amortise when every
   // thread shares one core, and failing CI over core count would make the
@@ -357,10 +331,11 @@ int run_bench(bool smoke, const std::string& out_path) {
   const unsigned hw = std::thread::hardware_concurrency();
   const bool gate_enforced = hw >= 4;
   const double floor_ratio = 0.85;
-  const double serial_ratio_4w = serial_rate > 0 ? batched_4w / serial_rate : 0.0;
+  const double serial_ratio_4w =
+      serial_rate > 0 ? parallel_4w / serial_rate : 0.0;
   if (gate_enforced) {
     if (serial_ratio_4w < floor_ratio) {
-      std::cerr << "PERF REGRESSION: 4w-batched is " << fmt_double(serial_ratio_4w)
+      std::cerr << "PERF REGRESSION: 4w is " << fmt_double(serial_ratio_4w)
                 << "x serial (floor " << fmt_double(floor_ratio) << "x, "
                 << hw << " hardware threads)\n";
       ok = false;
@@ -370,14 +345,13 @@ int run_bench(bool smoke, const std::string& out_path) {
     // box going from 0.9x to 0.3x is worth noticing even when it cannot
     // fail the run.
     std::cerr << "perf floor advisory only (gate needs >= 4 hardware "
-              << "threads, have " << hw << "): 4w-batched is "
+              << "threads, have " << hw << "): 4w is "
               << fmt_double(serial_ratio_4w) << "x serial (floor "
               << fmt_double(floor_ratio) << "x, "
               << (serial_ratio_4w < floor_ratio ? "below" : "meets")
               << " floor)\n";
   }
 
-  const double speedup = perframe_4w > 0 ? batched_4w / perframe_4w : 0.0;
   std::string json = "{\n  \"bench\": \"pipeline_throughput\",\n";
   json += "  \"mode\": \"" + std::string(smoke ? "smoke" : "full") + "\",\n";
   json += "  \"hardware_threads\": " + std::to_string(hw) + ",\n";
@@ -386,10 +360,8 @@ int run_bench(bool smoke, const std::string& out_path) {
           ", \"bytes\": " + std::to_string(corpus_bytes) + "},\n";
   json += "  \"runs\": [\n" + runs_json + "\n  ],\n";
   json += "  \"summary\": {\"serial_messages_per_s\": " + fmt_double(serial_rate) +
-          ", \"perframe_4w_messages_per_s\": " + fmt_double(perframe_4w) +
-          ", \"batched_4w_messages_per_s\": " + fmt_double(batched_4w) +
-          ", \"batched_8w_messages_per_s\": " + fmt_double(batched_8w) +
-          ", \"speedup_4w\": " + fmt_double(speedup) +
+          ", \"parallel_4w_messages_per_s\": " + fmt_double(parallel_4w) +
+          ", \"parallel_8w_messages_per_s\": " + fmt_double(parallel_8w) +
           ", \"serial_ratio_4w\": " + fmt_double(serial_ratio_4w) +
           ", \"compressed_4w_messages_per_s\": " + fmt_double(compressed_4w) +
           ", \"compression_ratio\": " +
@@ -410,12 +382,12 @@ int run_bench(bool smoke, const std::string& out_path) {
     std::cerr << "cannot write " << out_path << "\n";
     return 2;
   }
-  std::cerr << "wrote " << out_path << " (4w batched/perframe speedup "
-            << fmt_double(speedup) << "x)\n";
+  std::cerr << "wrote " << out_path << " (4w/serial "
+            << fmt_double(serial_ratio_4w) << "x)\n";
   return ok ? 0 : 1;
 }
 
-// --profile-out: one 4-worker batched run with the pipeline profiler and
+// --profile-out: one 4-worker run with the pipeline profiler and
 // the resource sampler attached, ending in the bottleneck report (text to
 // stderr, JSON to FILE).  This is the "which stage is saturated" follow-up
 // question the throughput numbers alone cannot answer.
@@ -434,7 +406,7 @@ int run_profiled(bool smoke, const std::string& profile_path) {
   opts.gauges = {{"pipeline.queue.merge", ""}, {"pipeline.queue.writer", ""}};
   obs::ResourceSampler sampler(&registry, opts);
 
-  RunSpec spec{"parallel-4w-batched-profiled", 4, 128, true, true};
+  RunSpec spec{"parallel-4w-profiled", 4};
   sampler.start();
   const RunStats stats = run_once(frames, spec, &registry, &profiler);
   sampler.stop();

@@ -2,15 +2,11 @@
 // searches and publishes from millions of clients in real time.
 //
 // Measures the sharded FileIndex (server/index.hpp) across shard counts
-// {1, 2, 4, 8}, with the LRU search cache off and on:
+// {1, 2, 4, 8}:
 //
-//   * BM_SearchThroughput: a steady state of cached searches with a live
-//     publish stream (one publish per 16 searches).  A publish dirties one
-//     shard; with the cache on, a revalidation recomputes only the dirty
-//     shard's partial, so the recomputed work per search shrinks roughly
-//     linearly with the shard count.  This is where sharding pays off on a
-//     single core — the win is confinement of cache invalidation, not
-//     thread parallelism.
+//   * BM_SearchThroughput: searches with a live publish stream (one
+//     publish per 16 searches).  Every search walks the rarest keyword's
+//     postings in every shard, so this shows the per-shard fan-out cost.
 //   * BM_PublishThroughput: batch-publish rate as shards grow (each batch
 //     locks every shard at most once).
 //
@@ -75,11 +71,9 @@ std::vector<proto::SearchExprPtr> make_queries() {
 
 void BM_SearchThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
-  const bool cache = state.range(1) != 0;
 
   server::FileIndexConfig cfg;
   cfg.shards = shards;
-  cfg.search_cache_entries = cache ? 64 : 0;
   server::FileIndex index(cfg);
   for (const proto::FileEntry& e : make_catalog(6000)) index.publish(e);
   const std::vector<proto::SearchExprPtr> queries = make_queries();
@@ -87,8 +81,7 @@ void BM_SearchThroughput(benchmark::State& state) {
   std::uint64_t searches = 0;
   std::uint64_t fresh = 0;  // distinct names for the live publish stream
   for (auto _ : state) {
-    // One "cycle": every query once, then one publish to dirty a shard —
-    // the mix a live server sees (searches dominate, publishes trickle).
+    // One "cycle": every query once, then one publish — the mix a live server sees (searches dominate, publishes trickle).
     for (const auto& q : queries) {
       benchmark::DoNotOptimize(index.search(*q, 201));
       ++searches;
@@ -99,15 +92,14 @@ void BM_SearchThroughput(benchmark::State& state) {
     ++fresh;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(searches));
-  const server::FileIndex::CacheStats cs = index.cache_stats();
-  state.counters["cache_hits"] = static_cast<double>(cs.hits);
-  state.counters["cache_partial_hits"] = static_cast<double>(cs.partial_hits);
-  state.counters["cache_misses"] = static_cast<double>(cs.misses);
   state.counters["files"] = static_cast<double>(index.file_count());
 }
 BENCHMARK(BM_SearchThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "cache"});
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->ArgNames({"shards"});
 
 void BM_PublishThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));

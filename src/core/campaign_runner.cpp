@@ -341,9 +341,6 @@ CampaignReport CampaignRunner::run() {
     parallel_config.metrics = config_.metrics;
     parallel_config.log = config_.log;
     parallel_config.flight = config_.flight;
-    parallel_config.batch_frames = config_.batch_frames;
-    parallel_config.buffer_pool = config_.buffer_pool;
-    parallel_config.writer_offload = config_.writer_offload;
     parallel_config.anon_shards = config_.anon_shards;
     parallel_config.profiler = config_.profiler;
     if (config_.client_table_flat) {
@@ -359,7 +356,6 @@ CampaignReport CampaignRunner::run() {
     pipeline_config.server_ip = config_.campaign.server_ip;
     pipeline_config.server_port = config_.campaign.server_port;
     pipeline_config.xml_out = xml_sink;
-    pipeline_config.keep_events = config_.keep_events;
     pipeline_config.extra_sink = config_.extra_sink;
     pipeline_config.metrics = config_.metrics;
     pipeline_config.log = config_.log;

@@ -47,25 +47,17 @@ struct RunnerConfig {
   /// field joins the fingerprint — snapshots resume across modes.
   bool client_table_flat = false;
   std::uint32_t client_table_space_bits = 32;
-  bool keep_events = false;
   /// Extra streaming consumer of the anonymised events (see PipelineConfig).
   std::function<void(const anon::AnonEvent&)> extra_sink;
   /// Decode worker threads: 0 or 1 = serial CapturePipeline, >1 = the
   /// order-preserving ParallelCapturePipeline (same output, more cores).
   std::size_t workers = 0;
-  /// Parallel data-plane tuning (ignored for serial runs; see
-  /// ParallelPipelineConfig).  None of these affect the output bytes, so
-  /// none join the checkpoint fingerprint: a campaign checkpointed with
-  /// one batch size may resume with another.
-  std::size_t batch_frames = 16;
-  bool buffer_pool = true;
-  bool writer_offload = true;
   /// Anonymisation table shards (clamped to a power of two in [1, 64]).
   /// Dense IDs are assigned by the merge thread in sequence order, so the
   /// shard count never changes the output — it only spreads lock-free
-  /// lookup state for the workers' optimistic pass.  Like the knobs above
-  /// it stays out of the checkpoint fingerprint: a campaign may resume
-  /// with a different shard count.
+  /// lookup state for the workers' optimistic pass.  It stays out of the
+  /// checkpoint fingerprint: a campaign may resume with a different shard
+  /// count.
   std::size_t anon_shards = 8;
   /// Optional metrics registry: when set, the capture buffer, the server
   /// index, and every pipeline stage register their instruments there.
@@ -160,9 +152,6 @@ class CampaignRunner {
   [[nodiscard]] const analysis::CampaignStats& stats() const {
     return parallel_ ? parallel_->stats() : pipeline_->stats();
   }
-  /// The serial pipeline (valid after run() with workers <= 1 only; the
-  /// parallel pipeline does not expose retained events or tables).
-  [[nodiscard]] const CapturePipeline& pipeline() const { return *pipeline_; }
   [[nodiscard]] const sim::CampaignSimulator& simulator() const {
     return simulator_;
   }

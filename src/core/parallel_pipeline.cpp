@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/rng.hpp"
-#include "core/server_pool.hpp"
 #include "xmlio/schema.hpp"
 
 namespace dtr::core {
@@ -27,6 +26,17 @@ void accumulate(decode::DecodeStats& total, const decode::DecodeStats& part) {
   total.undecoded_effective += part.undecoded_effective;
 }
 
+// Data-plane constants.  Output bytes are identical for any values here
+// (pinned by the differential tests); they trade only throughput against
+// latency and memory.
+constexpr std::size_t kBatchFrames = 16;  // frames per worker micro-batch
+/// An open batch is flushed across an idle gap longer than this.
+constexpr SimTime kBatchTimeGap = kSecond;
+/// Per-worker ring bound: 8192 frames, in batches.
+constexpr std::size_t kWorkerQueueBatches = 8192 / kBatchFrames;
+constexpr std::size_t kWriterChunkEvents = 256;  // events per hand-off
+constexpr std::size_t kWriterQueueChunks = 64;   // writer ring bound
+
 /// Free-list retention caps.  In-flight object counts are already bounded
 /// by the queue capacities, so these are backstops, not working limits.
 constexpr std::size_t kMaxRetainedBatches = 4096;
@@ -36,12 +46,9 @@ constexpr std::size_t kMaxRetainedBatches = 4096;
 ParallelCapturePipeline::ParallelCapturePipeline(
     const ParallelPipelineConfig& config)
     : config_(config),
-      batch_frames_(std::max<std::size_t>(1, config.batch_frames)),
-      in_capacity_batches_(
-          std::max<std::size_t>(2, config.queue_capacity / batch_frames_)),
-      frame_pool_(config.buffer_pool, kMaxRetainedBatches),
-      result_pool_(config.buffer_pool, kMaxRetainedBatches),
-      chunk_pool_(config.buffer_pool, config.writer_queue_chunks + 8),
+      frame_pool_(kMaxRetainedBatches),
+      result_pool_(kMaxRetainedBatches),
+      chunk_pool_(kWriterQueueChunks + 8),
       clients_(config.anon_shards, config.client_table_mode,
                config.client_table_space_bits),
       files_(config.anon_shards, config.fileid_index_byte_0,
@@ -53,10 +60,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
     // thread only touches the stream after a chunk arrives, and thread
     // creation below orders these writes before it.
     xml_ = std::make_unique<xmlio::DatasetWriter>(*config_.xml_out);
-    if (config_.writer_offload) {
-      writer_ring_ = std::make_unique<SpscRing<XmlChunk>>(
-          std::max<std::size_t>(1, config_.writer_queue_chunks));
-    }
+    writer_ring_ = std::make_unique<SpscRing<XmlChunk>>(kWriterQueueChunks);
   }
 
   const std::size_t n = std::max<std::size_t>(1, config_.workers);
@@ -64,8 +68,8 @@ ParallelCapturePipeline::ParallelCapturePipeline(
   for (std::size_t w = 0; w < n; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->in = std::make_unique<SpscRing<FrameBatch>>(in_capacity_batches_);
-    worker->out = std::make_unique<SpscRing<ResultBatch>>(in_capacity_batches_);
+    worker->in = std::make_unique<SpscRing<FrameBatch>>(kWorkerQueueBatches);
+    worker->out = std::make_unique<SpscRing<ResultBatch>>(kWorkerQueueBatches);
     worker->out->bind_consumer_signal(&merge_signal_);
     worker->decoder = std::make_unique<decode::FrameDecoder>(
         config_.server_ip, config_.server_port, decode::MessageSink{});
@@ -90,14 +94,9 @@ ParallelCapturePipeline::ParallelCapturePipeline(
                "parallel pipeline up (" << n << " workers, "
                                         << clients_.shard_count()
                                         << " anon shards, batch "
-                                        << batch_frames_ << " frames, queue "
-                                        << in_capacity_batches_
-                                        << " batches per worker, pool "
-                                        << (config_.buffer_pool ? "on" : "off")
-                                        << ", writer "
-                                        << (writer_ring_ ? "offloaded"
-                                                         : "inline")
-                                        << ")");
+                                        << kBatchFrames << " frames, queue "
+                                        << kWorkerQueueBatches
+                                        << " batches per worker)");
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
   }
@@ -137,12 +136,12 @@ void ParallelCapturePipeline::push(const sim::TimedFrame& frame) {
   // clock, or batch shapes — and their histograms — would go
   // nondeterministic.
   if (worker.open.used > 0 &&
-      frame.time > worker.open_last_time + config_.batch_time_gap) {
+      frame.time > worker.open_last_time + kBatchTimeGap) {
     flush_open_batch(target);
   }
   worker.open.add(next_seq_++, frame);
   worker.open_last_time = frame.time;
-  if (worker.open.used >= batch_frames_) flush_open_batch(target);
+  if (worker.open.used >= kBatchFrames) flush_open_batch(target);
 }
 
 void ParallelCapturePipeline::flush_open_batch(std::size_t target) {
@@ -188,7 +187,6 @@ void ParallelCapturePipeline::flush() {
       });
     }
   }
-  if (config_.replay != nullptr) config_.replay->drain();
 }
 
 void ParallelCapturePipeline::notify_quiesce() {
@@ -328,7 +326,7 @@ void ParallelCapturePipeline::merge_loop() {
   std::vector<ResultBatch> backlog;
   std::uint64_t next_expected = 0;
   bool failed = false;
-  XmlChunk chunk;  // open XML hand-off chunk (writer offload only)
+  XmlChunk chunk;  // open XML hand-off chunk
 
   auto hand_off_chunk = [&] {
     if (!writer_ring_ || chunk.events == 0) return;
@@ -342,28 +340,13 @@ void ParallelCapturePipeline::merge_loop() {
     chunk.reset();
   };
 
-  // Route one finished event's bytes to the XML stream: pre-rendered bytes
-  // splice straight through, slow-path events render here (rare).
-  auto emit_fast = [&](const anon::AnonEvent& event, std::string_view bytes,
-                       std::uint32_t elements) {
-    (void)event;
-    if (writer_ring_) {
-      chunk.bytes.append(bytes);
-      chunk.events += 1;
-      chunk.elements += elements;
-      if (chunk.events >= config_.writer_chunk_events) hand_off_chunk();
-    } else if (xml_) {
-      xml_->write_rendered(bytes, 1, elements);
-    }
-  };
-  auto emit_slow = [&](const anon::AnonEvent& event) {
-    if (writer_ring_) {
-      chunk.elements += xmlio::render_event(event, chunk.bytes);
-      chunk.events += 1;
-      if (chunk.events >= config_.writer_chunk_events) hand_off_chunk();
-    } else if (xml_) {
-      xml_->write(event);
-    }
+  // Append one finished event's bytes to the open writer chunk: pre-
+  // rendered bytes splice straight through, slow-path events render here
+  // (rare).
+  auto close_event = [&](std::uint64_t elements) {
+    chunk.events += 1;
+    chunk.elements += elements;
+    if (chunk.events >= kWriterChunkEvents) hand_off_chunk();
   };
 
   // The order-sensitive stage, one frame's messages at a time.  Fast-path
@@ -377,41 +360,34 @@ void ParallelCapturePipeline::merge_loop() {
       try {
         for (std::uint32_t i = 0; i < count; ++i) {
           const std::size_t mi = cur.msg + i;
-          decode::DecodedMessage& msg = cur.batch.messages[mi];
+          const decode::DecodedMessage& msg = cur.batch.messages[mi];
           obs::inc(metrics_.messages);
-          const bool from_client = msg.dst_ip == config_.server_ip &&
-                                   msg.dst_port == config_.server_port;
           const std::uint32_t len = cur.batch.xml_len[mi];
           if (cur.batch.prepared[mi] != 0) {
             obs::inc(metrics_.fast_events);
-            anon::AnonEvent& event = cur.batch.events[mi];
+            const anon::AnonEvent& event = cur.batch.events[mi];
             anonymised_events_.fetch_add(1, std::memory_order_relaxed);
             stats_.consume(event);
             if (config_.extra_sink) config_.extra_sink(event);
             if (xml_) {
-              emit_fast(event,
-                        std::string_view(cur.batch.xml.data() + cur.xml_off,
-                                         len),
-                        cur.batch.xml_elems[mi]);
+              chunk.bytes.append(cur.batch.xml, cur.xml_off, len);
+              close_event(cur.batch.xml_elems[mi]);
             }
           } else {
             obs::SpanTimer span(metrics_.anonymise_span);
             obs::inc(metrics_.deferred_events);
+            const bool from_client = msg.dst_ip == config_.server_ip &&
+                                     msg.dst_port == config_.server_port;
             const std::uint32_t peer_ip =
                 from_client ? msg.src_ip : msg.dst_ip;
-            anon::AnonEvent event =
+            const anon::AnonEvent event =
                 anonymiser_.anonymise(msg.time, peer_ip, msg.message);
             anonymised_events_.fetch_add(1, std::memory_order_relaxed);
             stats_.consume(event);
             if (config_.extra_sink) config_.extra_sink(event);
-            if (xml_) emit_slow(event);
+            if (xml_) close_event(xmlio::render_event(event, chunk.bytes));
           }
           cur.xml_off += len;
-          if (config_.replay != nullptr && from_client) {
-            config_.replay->submit(ServerQuery{msg.src_ip, msg.src_port,
-                                               std::move(msg.message),
-                                               msg.time});
-          }
         }
       } catch (const std::exception& e) {
         failed = true;  // keep consuming results so flush() never hangs
@@ -632,7 +608,6 @@ PipelineResult ParallelCapturePipeline::finish() {
       writer_thread_.join();
     }
     feeder_lease_.reset();  // finish() runs on the pushing thread
-    if (config_.replay != nullptr) config_.replay->drain();
     if (xml_) xml_->finish();
     for (auto& worker : workers_) {
       accumulate(total_decode_, worker->decoder->stats());

@@ -2,14 +2,19 @@
 
 #include <chrono>
 
-#include "core/server_pool.hpp"
-
 namespace dtr::core {
+
+namespace {
+
+/// Bound of each of the two stage queues (frames, decoded messages).
+constexpr std::size_t kStageQueueCapacity = 65536;
+
+}  // namespace
 
 CapturePipeline::CapturePipeline(const PipelineConfig& config)
     : config_(config),
-      frame_queue_(config.frame_queue_capacity),
-      message_queue_(config.message_queue_capacity),
+      frame_queue_(kStageQueueCapacity),
+      message_queue_(kStageQueueCapacity),
       clients_(config.client_table_mode, config.client_table_space_bits),
       files_(config.fileid_index_byte_0, config.fileid_index_byte_1),
       anonymiser_(clients_, files_) {
@@ -27,8 +32,8 @@ CapturePipeline::CapturePipeline(const PipelineConfig& config)
   anonymiser_.bind_telemetry(config_.log);
   DTR_LOG_INFO(config_.log, "pipeline", 0,
                "serial pipeline up (frame queue "
-                   << config_.frame_queue_capacity << ", message queue "
-                   << config_.message_queue_capacity << ")");
+                   << kStageQueueCapacity << ", message queue "
+                   << kStageQueueCapacity << ")");
   decode_thread_ = std::thread([this] { decode_loop(); });
   anonymise_thread_ = std::thread([this] { anonymise_loop(); });
 }
@@ -43,7 +48,7 @@ void CapturePipeline::push(const sim::TimedFrame& frame) {
   }
   obs::inc(metrics_.frames);
   if (config_.flight != nullptr &&
-      frame_queue_.size() >= config_.frame_queue_capacity) {
+      frame_queue_.size() >= kStageQueueCapacity) {
     // The decode stage is not keeping up: this push is about to block.
     obs::record(config_.flight, obs::FlightEvent::kStageStall, frame.time,
                 frame_queue_.size());
@@ -72,7 +77,6 @@ void CapturePipeline::flush() {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
-  if (config_.replay != nullptr) config_.replay->drain();
   update_table_gauges();
 }
 
@@ -148,7 +152,7 @@ void CapturePipeline::anonymise_loop() {
   while (message_queue_.pop_all(batch)) {
     obs::set(metrics_.message_queue_depth,
              static_cast<std::int64_t>(message_queue_.size()));
-    for (decode::DecodedMessage& msg : batch) {
+    for (const decode::DecodedMessage& msg : batch) {
       if (!failed) {
         try {
           obs::SpanTimer span(metrics_.anonymise_span);
@@ -164,14 +168,6 @@ void CapturePipeline::anonymise_loop() {
           stats_.consume(event);
           if (config_.extra_sink) config_.extra_sink(event);
           if (xml_) xml_->write(event);
-          if (config_.keep_events) events_.push_back(std::move(event));
-          if (config_.replay != nullptr && from_client) {
-            // The anonymised event is already extracted; the decoded message
-            // itself is free to move into the shadow-serving pool.
-            config_.replay->submit(ServerQuery{msg.src_ip, msg.src_port,
-                                               std::move(msg.message),
-                                               msg.time});
-          }
         } catch (const std::exception& e) {
           failed = true;  // keep draining so flush() never hangs
           fail("anonymise", msg.time, e.what());
@@ -234,7 +230,6 @@ PipelineResult CapturePipeline::finish() {
     decode_thread_.join();
     anonymise_thread_.join();
     feeder_lease_.reset();  // finish() runs on the pushing thread
-    if (config_.replay != nullptr) config_.replay->drain();
     update_table_gauges();
     if (xml_) xml_->finish();
     DTR_LOG_INFO(config_.log, "pipeline", last_time_,

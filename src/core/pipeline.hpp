@@ -33,13 +33,9 @@
 
 namespace dtr::core {
 
-class ServerWorkerPool;
-
 struct PipelineConfig {
   std::uint32_t server_ip = 0xC0A80001;
   std::uint16_t server_port = 4665;
-  std::size_t frame_queue_capacity = 65536;
-  std::size_t message_queue_capacity = 65536;
   /// fileID anonymisation index bytes (paper §2.4: (0,1) is pathological
   /// under forged IDs; the default is the fixed choice).
   unsigned fileid_index_byte_0 = 5;
@@ -54,7 +50,6 @@ struct PipelineConfig {
       anon::DirectClientTable::PageMode::kPaged;
   std::uint32_t client_table_space_bits = 32;
   std::ostream* xml_out = nullptr;  ///< optional dataset destination
-  bool keep_events = false;         ///< retain anonymised events in memory
   /// Optional extra consumer of the anonymised stream (runs on the
   /// anonymisation thread, in event order) — e.g. an ActivityTracker or
   /// FileSpreadTracker.
@@ -70,11 +65,6 @@ struct PipelineConfig {
   /// events into per-thread rings for post-mortem dumps (must outlive the
   /// pipeline; may be null — recording is a no-op then).
   obs::FlightRecorder* flight = nullptr;
-  /// Optional shadow-serving pool: every decoded client->server query is
-  /// resubmitted to a live reference EdonkeyServer through this pool, so a
-  /// captured trace can be replayed against the sharded index at full
-  /// concurrency.  flush()/finish() drain it (must outlive the pipeline).
-  ServerWorkerPool* replay = nullptr;
   /// Optional pipeline profiler: the decode/anonymise threads and the
   /// pushing (capture feeder) thread register and attribute their time
   /// (working / queue_wait / park / lock_wait).  Never feeds the metrics
@@ -125,25 +115,16 @@ class CapturePipeline {
   /// Statistics accumulator (valid after finish()).
   [[nodiscard]] const analysis::CampaignStats& stats() const { return stats_; }
 
-  /// Anonymised events (only if keep_events was set; valid after finish()).
-  [[nodiscard]] const std::vector<anon::AnonEvent>& events() const {
-    return events_;
-  }
-
-  /// The anonymisation tables (valid after finish(); exposed for the
-  /// Figure 3 bucket inspection and for tests).
+  /// The fileID table (valid after finish(); exposed for the Figure 3
+  /// bucket inspection).
   [[nodiscard]] const anon::BucketedFileIdStore& fileid_store() const {
     return files_;
-  }
-  [[nodiscard]] const anon::DirectClientTable& client_table() const {
-    return clients_;
   }
 
   /// Checkpoint codec.  save_state may only run while the pipeline is
   /// quiesced (immediately after flush(), before the next push);
   /// restore_state must run before the first push after construction.
-  /// keep_events buffers are not serialized — a resumed run retains only
-  /// post-resume events.  When an XML sink is attached, the owner must
+  /// When an XML sink is attached, the owner must
   /// restore the stream's contents to the checkpointed prefix itself
   /// (DatasetWriter::resume realigns the writer's cursor here).
   void save_state(ByteWriter& out) const;
@@ -179,7 +160,6 @@ class CapturePipeline {
   anon::Anonymiser anonymiser_;
   analysis::CampaignStats stats_;
   std::unique_ptr<xmlio::DatasetWriter> xml_;
-  std::vector<anon::AnonEvent> events_;
 
   std::unique_ptr<decode::FrameDecoder> decoder_;
   Metrics metrics_;

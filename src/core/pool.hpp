@@ -6,9 +6,8 @@
 // on a *different* thread — on the hot path.  The pool recycles them
 // instead: release() parks an object after the owner reset() its logical
 // contents (vector capacity survives, so a recycled batch's buffers are
-// already warm), acquire() hands it back out.  Disabled, it degenerates to
-// plain construction; the differential tests run both ways, because pooling
-// must never change the output bytes.
+// already warm), acquire() hands it back out.  Pooling never changes the
+// output bytes: a recycled object is logically empty.
 #pragma once
 
 #include <mutex>
@@ -22,8 +21,8 @@ namespace dtr::core {
 template <typename T>
 class ObjectPool {
  public:
-  ObjectPool(bool enabled, std::size_t max_retained)
-      : enabled_(enabled), max_retained_(max_retained) {}
+  explicit ObjectPool(std::size_t max_retained)
+      : max_retained_(max_retained) {}
 
   ObjectPool(const ObjectPool&) = delete;
   ObjectPool& operator=(const ObjectPool&) = delete;
@@ -38,25 +37,22 @@ class ObjectPool {
   /// A recycled object when one is parked, a fresh T{} otherwise.  The
   /// caller owns it until release().
   [[nodiscard]] T acquire() {
-    if (enabled_) {
-      std::unique_lock lock(mutex_);
-      if (!free_.empty()) {
-        T obj = std::move(free_.back());
-        free_.pop_back();
-        lock.unlock();
-        obs::inc(hits_);
-        return obj;
-      }
+    std::unique_lock lock(mutex_);
+    if (!free_.empty()) {
+      T obj = std::move(free_.back());
+      free_.pop_back();
+      lock.unlock();
+      obs::inc(hits_);
+      return obj;
     }
+    lock.unlock();
     obs::inc(misses_);
     return T{};
   }
 
   /// Park `obj` for reuse (the caller must have reset its logical contents
-  /// first).  Beyond max_retained — or with pooling disabled — the object
-  /// is simply destroyed.
+  /// first).  Beyond max_retained the object is simply destroyed.
   void release(T&& obj) {
-    if (!enabled_) return;
     std::lock_guard lock(mutex_);
     if (free_.size() < max_retained_) free_.push_back(std::move(obj));
   }
@@ -67,7 +63,6 @@ class ObjectPool {
   }
 
  private:
-  const bool enabled_;
   const std::size_t max_retained_;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;

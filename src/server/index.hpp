@@ -21,22 +21,13 @@
 // tests/index_differential_test replays identical workloads against a
 // reference single-map oracle and shard counts {1,2,4,8} and asserts
 // byte-identical answers.
-//
-// On top sits a bounded LRU keyword-search cache storing *per-shard*
-// partial results, each tagged with the generation of the shard it was
-// computed from.  A publish or retract bumps only its shard's generation,
-// so a cached search revalidates cheaply: untouched shards are reused,
-// only churned shards are recomputed.  That confinement of invalidation is
-// what makes the cache effective under a live publish stream.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -74,8 +65,6 @@ struct FileRecord {
 struct FileIndexConfig {
   /// Number of shards; rounded up to a power of two, clamped to [1, 64].
   std::size_t shards = 4;
-  /// Bounded LRU search-cache capacity in entries; 0 disables the cache.
-  std::size_t search_cache_entries = 0;
 };
 
 class FileIndex {
@@ -134,27 +123,14 @@ class FileIndex {
 
   /// Register `server.index.*` instruments in `registry` and record into
   /// them from now on: publish/search/retract counters, size gauges,
-  /// per-shard occupancy gauges, cache hit/miss/eviction counters, a
-  /// candidates-evaluated histogram and a shard-lock-wait histogram.
+  /// per-shard occupancy gauges, a candidates-evaluated histogram and a
+  /// shard-lock-wait histogram.
   void bind_metrics(obs::Registry& registry);
-
-  /// Search-cache counters (also exported via bind_metrics); zeros while
-  /// the cache is disabled.
-  struct CacheStats {
-    std::uint64_t hits = 0;          // every shard partial reused
-    std::uint64_t partial_hits = 0;  // entry found, some shards recomputed
-    std::uint64_t misses = 0;        // no usable entry
-    std::uint64_t evictions = 0;     // LRU bound enforced
-  };
-  [[nodiscard]] CacheStats cache_stats() const;
 
   /// Checkpoint codec.  Records are written in global first-publish order
   /// and restore re-derives every per-shard structure (postings, by_seq,
   /// by_client) from them, so the restored index answers identically for
-  /// the same shard count.  The search cache is NOT serialized: restore
-  /// clears it, so a cache-enabled resumed run may report different
-  /// cache hit/miss counters than an uninterrupted one (answers are
-  /// unaffected).  Not thread-safe: quiesce before calling.
+  /// the same shard count.  Not thread-safe: quiesce before calling.
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -174,31 +150,15 @@ class FileIndex {
     std::unordered_map<proto::ClientId, std::vector<FileId>> by_client;
     // Canonical full-scan order for keyword-less metadata queries.
     std::map<std::uint64_t, FileId> by_seq;
-    // Bumped on every mutation; the search cache revalidates against it.
-    std::atomic<std::uint64_t> generation{0};
     // Lock-free size counters so file_count()/source_count() never block.
     std::atomic<std::uint64_t> file_count{0};
     std::atomic<std::uint64_t> source_count{0};
-  };
-
-  struct CacheEntry {
-    std::string chosen;  // scanned keyword; empty = full metadata scan
-    std::vector<std::uint64_t> gens;  // per shard, at compute time
-    // Posting-list length per [shard][query word]: revalidation recomputes
-    // the rarest-keyword choice from these without touching clean shards.
-    std::vector<std::vector<std::uint64_t>> word_counts;
-    std::vector<std::vector<Posting>> partials;  // per shard, seq-ascending
-    std::list<std::string>::iterator lru;
   };
 
   struct Metrics {
     obs::Counter* publishes = nullptr;
     obs::Counter* searches = nullptr;
     obs::Counter* retracts = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_partial_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_evictions = nullptr;
     obs::Gauge* files = nullptr;
     obs::Gauge* sources = nullptr;
     obs::Histogram* candidates = nullptr;   // evaluated per search
@@ -236,23 +196,12 @@ class FileIndex {
                                             std::size_t limit,
                                             std::uint64_t* evaluated) const;
 
-  /// Posting-list length of each (lowered) query word in one shard; the
-  /// caller holds the shard's lock.
-  static std::vector<std::uint64_t> counts_locked(
-      const Shard& shard, const std::vector<std::string>& words);
-
   void update_size_gauges(std::size_t shard) const;
   void update_all_gauges() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;
   std::atomic<std::uint64_t> next_seq_{1};
-
-  std::size_t cache_capacity_ = 0;
-  mutable std::mutex cache_mutex_;
-  mutable std::list<std::string> cache_lru_;  // front = most recent
-  mutable std::unordered_map<std::string, CacheEntry> cache_;
-  mutable CacheStats cache_stats_;  // guarded by cache_mutex_
 
   Metrics metrics_;
 };

@@ -397,15 +397,26 @@ std::optional<anon::StringToken> hash(const std::string_view* raw) {
 }  // namespace
 
 std::optional<anon::AnonEvent> DatasetReader::next() {
-  if (!ok()) return std::nullopt;
+  if (!ok() || root_closed_) return std::nullopt;
 
   for (;;) {
     const XmlToken* token = parser_.next();
-    if (token == nullptr) return std::nullopt;
+    if (token == nullptr) {
+      // A document is one <capture> element: input without it (binary
+      // data, an empty file) or cut before </capture> is not a dataset.
+      if (parser_.ok()) {
+        fail(root_seen_ ? "document ends inside <capture> (truncated)"
+                        : "no <capture> root element");
+      }
+      return std::nullopt;
+    }
     if (token->kind == XmlToken::Kind::kText) continue;
     const Element element = element_of(token->name);
     if (token->kind == XmlToken::Kind::kEndElement) {
-      if (element == Element::kCapture) return std::nullopt;
+      if (element == Element::kCapture) {
+        root_closed_ = true;
+        return std::nullopt;
+      }
       continue;
     }
     if (element == Element::kCapture) {

@@ -104,6 +104,7 @@ class DatasetReader {
   XmlParser parser_;
   bool ok_ = true;
   bool root_seen_ = false;
+  bool root_closed_ = false;
   std::string error_;
 };
 

@@ -402,7 +402,7 @@ TEST(CheckpointRecovery, GoldenEndToEndPins) {
   EXPECT_EQ(Sha256::digest(art.xml).hex(),
             "cae9a34ca1820e6bbc3ca96dbae1931a818fcf66661fdb530f121c16d378a4c3");
   EXPECT_EQ(Sha256::digest(art.series_jsonl).hex(),
-            "bffda09a5b6f841e677a2d96f04daece6f3704c7a0cc2b5797df631c65aefbc2");
+            "57bed1b91b3d41f1a0512b27fd5f2f55d4bbf94a88fba5d8d0445264f4b62c0f");
   EXPECT_EQ(Sha256::digest(BytesView(art.pcap)).hex(),
             "c1169f26fb2be62861054e9f3f7aa90ed581ddb30ab4834ed8c14119c8585a61");
 }

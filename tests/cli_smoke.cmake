@@ -1,6 +1,6 @@
 # CLI smoke test: run a tiny campaign (on the parallel pipeline, with a
 # metrics snapshot, a time series, and a flight dump), write a compressed
-# dataset, then analyze it (which validates it against the formal spec
+# dataset (an --xml path ending .dtz), then analyze it (which validates it against the formal spec
 # first).  Every JSON artifact must pass the tool's own jsoncheck, and the
 # time series must be byte-identical across two same-seed runs.
 execute_process(
@@ -337,3 +337,69 @@ execute_process(
 if(NOT rc_decompress EQUAL 0)
   message(FATAL_ERROR "donkeytrace decompress failed: ${rc_decompress}")
 endif()
+
+# An --xml path ending .dtz implies --compress: the first campaign above
+# wrote the DTZCHNK1 container, and it decompresses to exactly the bytes of
+# the same-seed plain-XML run (smoke_ck.xml).
+file(READ ${WORKDIR}/smoke.xml.dtz smoke_magic LIMIT 8 HEX)
+if(NOT smoke_magic STREQUAL "44545a43484e4b31")  # "DTZCHNK1"
+  message(FATAL_ERROR "--xml X.dtz did not write a DTZCHNK1 container")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORKDIR}/smoke.xml ${WORKDIR}/smoke_ck.xml
+  RESULT_VARIABLE rc_dtz_cmp)
+if(NOT rc_dtz_cmp EQUAL 0)
+  message(FATAL_ERROR "--xml X.dtz round-trip differs from the plain-XML run")
+endif()
+
+# DTZCHNK1 is the only container: a file carrying the whole-file DTZ1 magic
+# is refused cleanly by decompress and analyze.
+file(WRITE ${WORKDIR}/smoke_dtz1.xml.dtz "DTZ1 whole-file container bytes")
+foreach(command decompress analyze)
+  execute_process(
+    COMMAND ${DONKEYTRACE} ${command} smoke_dtz1.xml.dtz
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_dtz1
+    ERROR_VARIABLE err_dtz1)
+  if(NOT rc_dtz1 EQUAL 1)
+    message(FATAL_ERROR "${command} of a DTZ1 file exited ${rc_dtz1}, expected 1")
+  endif()
+  if(NOT err_dtz1 MATCHES "not a DTZCHNK1 container")
+    message(FATAL_ERROR "${command} of a DTZ1 file not refused: ${err_dtz1}")
+  endif()
+endforeach()
+# Under another name the same bytes are not XML either: analyze finds no
+# <capture> root and exits 1 instead of reporting an empty dataset.
+file(WRITE ${WORKDIR}/smoke_dtz1.bin "DTZ1 whole-file container bytes")
+execute_process(
+  COMMAND ${DONKEYTRACE} analyze smoke_dtz1.bin
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_dtz1_bin
+  ERROR_VARIABLE err_dtz1_bin)
+if(NOT rc_dtz1_bin EQUAL 1 OR NOT err_dtz1_bin MATCHES "no <capture> root")
+  message(FATAL_ERROR "analyze of DTZ1 bytes exited ${rc_dtz1_bin}: ${err_dtz1_bin}")
+endif()
+
+# Malformed or out-of-range numbers and addresses are usage errors naming
+# the flag, never a silent fallback or a narrowed value.  decode checks its
+# flags before it opens the (here missing) pcap.
+foreach(case
+    "campaign;--hours;2x"
+    "campaign;--clients;4294967297"
+    "campaign;--metrics-interval;nan"
+    "decode;--pcap;no_such.pcap;--server-port;70000"
+    "decode;--pcap;no_such.pcap;--server-ip;192.168.0.256")
+  list(GET case -2 bad_flag)
+  execute_process(
+    COMMAND ${DONKEYTRACE} ${case}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_badnum
+    ERROR_VARIABLE err_badnum)
+  if(NOT rc_badnum EQUAL 2)
+    message(FATAL_ERROR "'${case}' exited ${rc_badnum}, expected 2")
+  endif()
+  if(NOT err_badnum MATCHES "${bad_flag}")
+    message(FATAL_ERROR "'${case}' error does not name ${bad_flag}: ${err_badnum}")
+  endif()
+endforeach()

@@ -41,12 +41,60 @@ TEST(CliArgs, BooleanFlags) {
   EXPECT_FALSE(args.has("verbose"));
 }
 
-TEST(CliArgs, FallbacksOnMissingOrMalformed) {
-  Args args = make_args({"campaign", "--seed", "notanumber"});
-  EXPECT_EQ(args.get_u64("seed", 42), 42u);
+TEST(CliArgs, FallbacksOnMissing) {
+  Args args = make_args({"campaign"});
   EXPECT_EQ(args.get_u64("missing", 7), 7u);
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(args.get_f64("missing", 1.5), 1.5);
+  EXPECT_EQ(args.get_ipv4("missing", 0xC0A80001u), 0xC0A80001u);
+}
+
+/// The UsageError message `fn` throws, or "" when it does not throw.
+template <typename F>
+std::string usage_error(F&& fn) {
+  try {
+    fn();
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, MalformedValuesAreUsageErrorsNamingTheFlag) {
+  Args args = make_args({"campaign", "--seed", "notanumber", "--hours", "2x",
+                         "--empty=", "--rate", "1.5x", "--gap", "-1",
+                         "--inf", "inf", "--ip", "1.2.3", "--flag"});
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("seed", 42); })
+                .find("--seed"),
+            std::string::npos);
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("hours", 48); })
+                .find("'2x'"),
+            std::string::npos);
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("empty", 1); }), "");
+  // A flag given without a value reads as "true", which is no number.
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("flag", 1); }), "");
+  EXPECT_NE(usage_error([&] { (void)args.get_f64("rate", 1.0); }), "");
+  EXPECT_NE(usage_error([&] { (void)args.get_f64("gap", 1.0); }), "");
+  EXPECT_NE(usage_error([&] { (void)args.get_f64("inf", 1.0); }), "");
+  EXPECT_NE(usage_error([&] { (void)args.get_ipv4("ip", 1); }).find("--ip"),
+            std::string::npos);
+}
+
+TEST(CliArgs, ValuesOutsideTheTargetTypeAreRejectedNotNarrowed) {
+  Args args = make_args({"decode", "--port", "70000", "--clients",
+                         "4294967297", "--ok-port", "65535", "--hours",
+                         "11", "--big", "18446744073709551616"});
+  EXPECT_NE(usage_error([&] { (void)args.get_uint<std::uint16_t>("port", 1); })
+                .find("--port"),
+            std::string::npos);
+  EXPECT_NE(
+      usage_error([&] { (void)args.get_uint<std::uint32_t>("clients", 1); }),
+      "");
+  EXPECT_EQ(args.get_uint<std::uint16_t>("ok-port", 1), 65535u);
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("hours", 1, 10); }), "");
+  EXPECT_EQ(args.get_u64("hours", 1, 11), 11u);
+  EXPECT_NE(usage_error([&] { (void)args.get_u64("big", 1); }), "");
+  EXPECT_NE(usage_error([&] { (void)args.get_f64("hours", 1.0, 10.0); }), "");
 }
 
 TEST(CliArgs, FloatOptions) {

@@ -5,18 +5,18 @@
 // old index alive as a ReferenceIndex oracle, replays one seeded workload
 // (publishes, batched publishes, retracts, and every search shape the
 // query language supports) against the oracle and against sharded indexes
-// with N = 1, 2, 4, 8 — cache off and cache on — and compares a full
-// transcript of observable results: per-op publish booleans, per-op search
-// answers in order, and the end-state records (metadata + exact source
-// lists).
+// with N = 1, 2, 4, 8 and compares a full transcript of observable results:
+// per-op publish booleans, per-op search answers in order, and the
+// end-state records (metadata + exact source lists).
 //
-// The same file also hammers one sharded index and a ServerWorkerPool from
+// The same file also hammers one sharded index and one EdonkeyServer from
 // several threads; those tests assert only invariants (the transcript is
 // schedule-dependent) and exist chiefly for the tsan preset, which runs
 // this binary via the `concurrency` label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,7 +24,6 @@
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "core/server_pool.hpp"
 #include "hash/md4.hpp"
 #include "server/index.hpp"
 #include "server/server.hpp"
@@ -383,51 +382,28 @@ TEST_P(IndexDifferential, ShardedMatchesReferenceForAllShardCounts) {
   const std::vector<std::string> expected = run_reference(reference, ops);
 
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (std::size_t cache : {0u, 64u}) {
-      FileIndexConfig cfg;
-      cfg.shards = shards;
-      cfg.search_cache_entries = cache;
-      FileIndex index(cfg);
-      ASSERT_EQ(index.shard_count(), shards);
-      const std::vector<std::string> actual = run_sharded(index, ops);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " cache=" + std::to_string(cache);
-      ASSERT_EQ(actual.size(), expected.size()) << label;
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(actual[i], expected[i]) << label << " diverged at op " << i;
-      }
-      expect_same_end_state(reference, index, label);
-      if (cache > 0) {
-        const FileIndex::CacheStats cs = index.cache_stats();
-        EXPECT_GT(cs.hits + cs.partial_hits + cs.misses, 0u)
-            << label << ": the cache was never consulted";
-      }
+    FileIndexConfig cfg;
+    cfg.shards = shards;
+    FileIndex index(cfg);
+    ASSERT_EQ(index.shard_count(), shards);
+    const std::vector<std::string> actual = run_sharded(index, ops);
+    const std::string label = "shards=" + std::to_string(shards);
+    ASSERT_EQ(actual.size(), expected.size()) << label;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << label << " diverged at op " << i;
     }
+    expect_same_end_state(reference, index, label);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential,
                          ::testing::Values(1u, 42u, 20260807u));
 
-TEST(IndexDifferential, TinyCacheEvictsAndStaysCorrect) {
-  const std::vector<Op> ops = make_workload(7u, 1200);
-  ReferenceIndex reference;
-  const std::vector<std::string> expected = run_reference(reference, ops);
-
-  FileIndexConfig cfg;
-  cfg.shards = 4;
-  cfg.search_cache_entries = 2;  // thrash: almost every lookup evicts
-  FileIndex index(cfg);
-  const std::vector<std::string> actual = run_sharded(index, ops);
-  EXPECT_EQ(actual, expected);
-  EXPECT_GT(index.cache_stats().evictions, 0u);
-}
-
 TEST(IndexDifferential, ShardCountIsRoundedAndClamped) {
-  EXPECT_EQ(FileIndex(FileIndexConfig{0, 0}).shard_count(), 1u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{3, 0}).shard_count(), 4u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{5, 0}).shard_count(), 8u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{1000, 0}).shard_count(), 64u);
+  EXPECT_EQ(FileIndex(FileIndexConfig{0}).shard_count(), 1u);
+  EXPECT_EQ(FileIndex(FileIndexConfig{3}).shard_count(), 4u);
+  EXPECT_EQ(FileIndex(FileIndexConfig{5}).shard_count(), 8u);
+  EXPECT_EQ(FileIndex(FileIndexConfig{1000}).shard_count(), 64u);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +413,6 @@ TEST(IndexDifferential, ShardCountIsRoundedAndClamped) {
 TEST(IndexConcurrency, ParallelPublishSearchRetractKeepsInvariants) {
   FileIndexConfig cfg;
   cfg.shards = 8;
-  cfg.search_cache_entries = 32;
   FileIndex index(cfg);
 
   constexpr int kThreads = 4;
@@ -495,25 +470,20 @@ TEST(IndexConcurrency, ParallelPublishSearchRetractKeepsInvariants) {
   EXPECT_EQ(sources_via_visit, index.source_count());
 }
 
-TEST(ServerPool, ConcurrentMixedTrafficReconciles) {
+TEST(ServerConcurrency, ConcurrentMixedTrafficReconciles) {
   ServerConfig cfg;
   cfg.index_shards = 8;
-  cfg.search_cache_entries = 32;
   EdonkeyServer server(cfg);
-
-  std::atomic<std::uint64_t> sink_answers{0};
-  core::ServerWorkerPool pool(
-      server, /*workers=*/4, /*queue_capacity=*/256,
-      [&sink_answers](const core::ServerQuery&,
-                      std::vector<proto::Message> answers) {
-        sink_answers.fetch_add(answers.size(), std::memory_order_relaxed);
-      });
 
   Rng r(4242);
   std::vector<std::string> names;
   for (std::size_t i = 0; i < 80; ++i) names.push_back(random_name(r));
 
-  std::uint64_t submitted = 0;
+  struct Query {
+    proto::ClientId client = 0;
+    proto::Message msg;
+  };
+  std::vector<Query> queries;
   for (int i = 0; i < 1200; ++i) {
     const proto::ClientId client =
         static_cast<proto::ClientId>(1 + r.below(32));
@@ -537,29 +507,41 @@ TEST(ServerPool, ConcurrentMixedTrafficReconciles) {
     } else {
       msg = proto::ServStatReq{static_cast<std::uint32_t>(i)};
     }
-    ASSERT_TRUE(pool.submit(core::ServerQuery{client, 4662, std::move(msg),
-                                              static_cast<SimTime>(i)}));
-    ++submitted;
-    if (i == 600) pool.drain();  // mid-stream drain must not deadlock
+    queries.push_back(Query{client, std::move(msg)});
   }
-  pool.drain();
 
-  // Quiesced: atomic ServerStats must reconcile exactly with the pool's
-  // own counters and the sink's view.
+  // Two phases of four threads each, every thread taking every fourth
+  // query of its phase; the join between phases is a mid-stream quiesce.
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::uint64_t> handled{0};
+  std::atomic<std::uint64_t> answers{0};
+  auto serve = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = begin + t; i < end; i += kThreads) {
+          const std::vector<proto::Message> out = server.handle(
+              queries[i].client, 4662, queries[i].msg, static_cast<SimTime>(i));
+          handled.fetch_add(1, std::memory_order_relaxed);
+          answers.fetch_add(out.size(), std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  };
+  serve(0, 601);
+  EXPECT_EQ(server.stats().queries.load(), 601u);
+  serve(601, queries.size());
+
+  // Quiesced: atomic ServerStats must reconcile exactly with the threads'
+  // own counts of queries handled and answers returned.
   const ServerStats stats = server.stats();  // load-copying snapshot
-  EXPECT_EQ(pool.submitted(), submitted);
-  EXPECT_EQ(pool.processed(), submitted);
-  EXPECT_EQ(stats.queries.load(), submitted);
-  EXPECT_EQ(pool.answers(), sink_answers.load());
-  EXPECT_EQ(stats.answers.load(), pool.answers());
+  EXPECT_EQ(handled.load(), queries.size());
+  EXPECT_EQ(stats.queries.load(), queries.size());
+  EXPECT_EQ(stats.answers.load(), answers.load());
   EXPECT_LE(stats.searches.load() + stats.source_requests.load() +
                 stats.publishes.load(),
             stats.queries.load());
-
-  pool.finish();
-  EXPECT_FALSE(pool.submit(core::ServerQuery{1, 4662,
-                                             proto::ServStatReq{1}, 0}))
-      << "submits after finish() are rejected";
 }
 
 }  // namespace

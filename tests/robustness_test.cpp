@@ -312,18 +312,39 @@ TEST(CheckpointFuzz, EverySingleBitFlipIsRejected) {
   }
 }
 
-TEST(CheckpointFuzz, VersionBumpIsRejectedEvenWithValidChecksum) {
-  // A snapshot from a hypothetical future build: correct magic, correct
-  // digest, unknown version.  Must be refused by version, not checksum.
+/// A valid snapshot re-stamped with `version` and re-digested, so only the
+/// version field can reject it.
+Bytes checkpoint_with_version(std::uint32_t version) {
   Bytes data = sample_checkpoint();
-  data[sizeof(core::kCheckpointMagic)] = 2;  // version u32le low byte
+  for (std::size_t i = 0; i < 4; ++i) {  // version u32le
+    data[sizeof(core::kCheckpointMagic) + i] =
+        static_cast<std::uint8_t>(version >> (8 * i));
+  }
   const std::size_t body = data.size() - 16;
   const Digest128 digest = Md5::digest(BytesView(data.data(), body));
   std::copy(digest.bytes.begin(), digest.bytes.end(), data.begin() +
             static_cast<std::ptrdiff_t>(body));
+  return data;
+}
+
+TEST(CheckpointFuzz, VersionBumpIsRejectedEvenWithValidChecksum) {
+  // A snapshot from a hypothetical future build: correct magic, correct
+  // digest, unknown version.  Must be refused by version, not checksum.
+  const Bytes data = checkpoint_with_version(core::kCheckpointVersion + 1);
   std::string error;
   EXPECT_FALSE(core::CheckpointView::parse(data, error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
+TEST(CheckpointFuzz, OlderVersionIsRejectedEvenWithValidChecksum) {
+  // Version 1 snapshots carried the server index's search-cache counters,
+  // which version 2 dropped: their layout no longer parses, so they must
+  // be refused by version before any section is read.
+  ASSERT_GT(core::kCheckpointVersion, 1u);
+  const Bytes data = checkpoint_with_version(1);
+  std::string error;
+  EXPECT_FALSE(core::CheckpointView::parse(data, error).has_value());
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
 TEST(CheckpointFuzz, BadMagicAndEmptyAndGarbageAreRejected) {

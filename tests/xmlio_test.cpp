@@ -474,6 +474,39 @@ TEST(Schema, EmptyCaptureIsValid) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(Schema, ReaderRejectsDocumentsWithoutACompleteRoot) {
+  // Not a dataset: nothing, binary bytes such as a whole-file DTZ1
+  // container, or text with no <capture> element.
+  for (const std::string& doc :
+       {std::string(), std::string("DTZ1\x10\0\0\0\0\0\0\0abc", 15),
+        std::string("just text")}) {
+    std::istringstream in(doc);
+    DatasetReader r(in);
+    EXPECT_FALSE(r.next());
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), "no <capture> root element");
+  }
+  // Cut after a complete <msg>: every event before the cut is returned,
+  // then the missing </capture> is an error, not a clean end.
+  std::istringstream in(
+      "<capture><msg t=\"1\" peer=\"1\" dir=\"q\" kind=\"statreq\"/>");
+  DatasetReader r(in);
+  EXPECT_TRUE(r.next());
+  EXPECT_FALSE(r.next());
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "document ends inside <capture> (truncated)");
+}
+
+TEST(Schema, ReaderStopsAtTheEndOfTheRoot) {
+  std::istringstream in(
+      "<capture></capture><msg t=\"1\" peer=\"1\" dir=\"q\" "
+      "kind=\"statreq\"/>");
+  DatasetReader r(in);
+  EXPECT_FALSE(r.next());
+  EXPECT_FALSE(r.next());
+  EXPECT_TRUE(r.ok());
+}
+
 TEST(Schema, HashesSurviveRoundtripExactly) {
   anon::AnonEvent ev;
   ev.time = 99;

@@ -1,9 +1,21 @@
 #include "cli_args.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 namespace dtr::cli {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const std::string& raw,
+                         const std::string& expected) {
+  throw UsageError("--" + name + ": expected " + expected + ", got '" + raw +
+                   "'");
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,22 +50,46 @@ std::string Args::get(const std::string& name,
   return it == options_.end() ? fallback : it->second;
 }
 
-std::uint64_t Args::get_u64(const std::string& name,
-                            std::uint64_t fallback) const {
-  std::string raw = get(name);
-  if (raw.empty()) return fallback;
+std::uint64_t Args::get_u64(const std::string& name, std::uint64_t fallback,
+                            std::uint64_t max) const {
+  if (!has(name)) return fallback;
+  const std::string raw = get(name);
   std::uint64_t value = 0;
   auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
-  return ec == std::errc{} && ptr == raw.data() + raw.size() ? value
-                                                             : fallback;
+  if (ec != std::errc{} || ptr != raw.data() + raw.size() || value > max) {
+    reject(name, raw,
+           max == std::numeric_limits<std::uint64_t>::max()
+               ? "a non-negative integer"
+               : "an integer in [0, " + std::to_string(max) + "]");
+  }
+  return value;
 }
 
-double Args::get_f64(const std::string& name, double fallback) const {
-  std::string raw = get(name);
-  if (raw.empty()) return fallback;
+double Args::get_f64(const std::string& name, double fallback,
+                     double max) const {
+  if (!has(name)) return fallback;
+  const std::string raw = get(name);
   char* end = nullptr;
-  double value = std::strtod(raw.c_str(), &end);
-  return end == raw.c_str() + raw.size() ? value : fallback;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end != raw.c_str() + raw.size() || !std::isfinite(value) ||
+      value < 0.0 || value > max) {
+    std::ostringstream expected;
+    expected << "a finite number in [0, " << max << "]";
+    reject(name, raw,
+           max == std::numeric_limits<double>::max()
+               ? "a finite non-negative number"
+               : expected.str());
+  }
+  return value;
+}
+
+std::uint32_t Args::get_ipv4(const std::string& name,
+                             std::uint32_t fallback) const {
+  if (!has(name)) return fallback;
+  const std::string raw = get(name);
+  const std::optional<std::uint32_t> ip = parse_ipv4(raw);
+  if (!ip) reject(name, raw, "a dotted IPv4 address");
+  return *ip;
 }
 
 std::vector<std::string> Args::unused() const {

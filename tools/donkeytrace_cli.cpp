@@ -9,8 +9,9 @@
 //
 // `campaign` runs the full measurement (Figure 1) at the requested scale;
 // `decode` replays a pcap capture offline; `analyze` recomputes the §3
-// statistics from a released dataset.  Files ending in .dtz are LZSS-
-// compressed (footnote 3 of the paper).
+// statistics from a released dataset.  Files ending in .dtz are the
+// chunked compressed DTZCHNK1 container (footnote 3 of the paper;
+// xmlio/chunked.hpp).
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -29,7 +30,6 @@
 #include "obs/snapshot.hpp"
 #include "obs/timeseries.hpp"
 #include "xmlio/chunked.hpp"
-#include "xmlio/compress.hpp"
 
 // Opt this binary into global allocation counting (one TU per binary): the
 // --profile-out resource trajectory reports real operator-new totals
@@ -39,6 +39,11 @@
 namespace {
 
 using namespace dtr;
+
+/// Upper bounds for the simulated-time flags: scaled to SimTime
+/// microseconds, no accepted value wraps.
+constexpr std::uint64_t kMaxHours = ~SimTime{0} / kHour;
+constexpr double kMaxSimSeconds = 1e12;  // about 31 700 years
 
 int usage() {
   std::cerr <<
@@ -52,7 +57,6 @@ commands:
               [--anon-shards N] (anonymiser table shards, power of two;
                                       default 8; never changes output)
               [--server-shards N] (index shards, power of two; default 4)
-              [--search-cache N] (LRU search-cache entries; default 0 = off)
               [--checkpoint-dir DIR] (periodic resumable snapshots, one
                                       file per boundary)
               [--checkpoint-interval-hours H] (boundary spacing in
@@ -68,7 +72,8 @@ commands:
               [--compress] (stream the dataset through the chunked
                                       compressor: --xml receives the DTZCHNK1
                                       container, byte-identical for any pool
-                                      size; decompress restores the XML)
+                                      size; decompress restores the XML;
+                                      implied by an --xml path ending .dtz)
               [--compress-threads N] (compressor pool size; default 2,
                                       0 = compress inline; never changes
                                       the container bytes)
@@ -84,11 +89,11 @@ commands:
               --pcap PATH [--xml PATH[.dtz]]
               [--server-ip A.B.C.D] [--server-port P]
   analyze     recompute the paper's statistics from a dataset
-              --xml PATH[.dtz]  (or positional path)
-  compress    LZSS-compress a file   (positional path, adds .dtz)
-  decompress  expand a compressed file (positional path, strips .dtz);
-              handles both the whole-file DTZ1 format and the chunked
-              DTZCHNK1 campaign container (detected by magic)
+              --xml PATH[.dtz]  (or positional path; plain XML or the
+              DTZCHNK1 container, detected by magic)
+  compress    compress a file into the DTZCHNK1 container
+              (positional path, adds .dtz)
+  decompress  expand a DTZCHNK1 container (positional path, strips .dtz)
   jsoncheck   validate JSON (or per-line JSONL) artifacts
               (positional paths; .jsonl files are checked line by line)
 
@@ -139,45 +144,41 @@ std::optional<Bytes> read_file(const std::string& path) {
   return data;
 }
 
-/// Load a dataset file, transparently decompressing either container (the
-/// chunked campaign stream is detected by magic, whole-file LZSS by .dtz).
+BytesView view_of(const std::string& s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
+/// Load a dataset file: the DTZCHNK1 container (detected by magic) or plain
+/// XML.  Any other .dtz file is refused.  Prints the reason on failure.
 std::optional<std::string> load_dataset(const std::string& path) {
   auto raw = read_file(path);
-  if (!raw) return std::nullopt;
+  if (!raw) {
+    std::cerr << "cannot read " << path << "\n";
+    return std::nullopt;
+  }
   if (xmlio::is_chunked_container(*raw)) {
     auto expanded = xmlio::chunked_decompress(*raw);
-    if (!expanded) return std::nullopt;
+    if (!expanded) {
+      std::cerr << path << " is not a valid DTZCHNK1 container\n";
+      return std::nullopt;
+    }
     return std::string(expanded->begin(), expanded->end());
   }
   if (ends_with(path, ".dtz")) {
-    auto expanded = xmlio::lz_decompress(*raw);
-    if (!expanded) return std::nullopt;
-    return std::string(expanded->begin(), expanded->end());
+    std::cerr << path << " is not a DTZCHNK1 container\n";
+    return std::nullopt;
   }
   return std::string(raw->begin(), raw->end());
 }
 
-/// Store XML text to `path`, compressing when it ends in .dtz.
-bool store_dataset(const std::string& path, const std::string& xml) {
-  if (ends_with(path, ".dtz")) {
-    Bytes data(xml.begin(), xml.end());
-    Bytes compressed = xmlio::lz_compress(data);
-    bool ok = write_file(path, compressed);
-    if (ok) {
-      std::cout << "wrote " << path << " (" << with_thousands(compressed.size())
-                << " bytes, " << static_cast<int>(
-                       100.0 * xmlio::lz_ratio(data, compressed))
-                << "% of the XML)\n";
-    }
-    return ok;
-  }
-  std::ofstream out(path);
-  out << xml;
-  if (out) {
-    std::cout << "wrote " << path << " (" << with_thousands(xml.size())
-              << " bytes)\n";
-  }
-  return static_cast<bool>(out);
+/// Write a finished dataset buffer to `path`: the DTZCHNK1 container when
+/// `compressed`, plain XML otherwise.
+bool store_dataset(const std::string& path, const std::string& dataset,
+                   bool compressed) {
+  if (!write_file(path, view_of(dataset))) return false;
+  std::cout << "wrote " << path << " (" << with_thousands(dataset.size())
+            << (compressed ? " bytes, chunked-compressed)\n" : " bytes)\n");
+  return true;
 }
 
 /// Periodic metrics emitter driven by *simulated* time: call tick() with
@@ -351,15 +352,14 @@ int cmd_campaign(const cli::Args& args) {
   core::RunnerConfig cfg;
   cfg.campaign.seed = args.get_u64("seed", 42);
   cfg.campaign.population.client_count =
-      static_cast<std::uint32_t>(args.get_u64("clients", 2000));
-  cfg.campaign.catalog.file_count =
-      static_cast<std::uint32_t>(args.get_u64("files", 20000));
-  cfg.campaign.duration = args.get_u64("hours", 48) * kHour;
+      args.get_uint<std::uint32_t>("clients", 2000);
+  cfg.campaign.catalog.file_count = args.get_uint<std::uint32_t>("files", 20000);
+  cfg.campaign.duration = args.get_u64("hours", 48, kMaxHours) * kHour;
   cfg.campaign.server.index_shards = args.get_u64("server-shards", 4);
-  cfg.campaign.server.search_cache_entries = args.get_u64("search-cache", 0);
   cfg.workers = args.get_u64("workers", 0);
   cfg.anon_shards = args.get_u64("anon-shards", 8);
-  cfg.compress = args.has("compress");
+  const std::string xml_path = args.get("xml");
+  cfg.compress = args.has("compress") || ends_with(xml_path, ".dtz");
   cfg.compress_threads = args.get_u64("compress-threads", 2);
   cfg.compress_chunk_bytes =
       args.get_u64("compress-chunk", xmlio::kDefaultChunkBytes);
@@ -367,7 +367,7 @@ int cmd_campaign(const cli::Args& args) {
   if (table_mode == "flat") {
     cfg.client_table_flat = true;
     cfg.client_table_space_bits =
-        static_cast<std::uint32_t>(args.get_u64("client-table-bits", 32));
+        args.get_uint<std::uint32_t>("client-table-bits", 32);
   } else if (table_mode != "paged") {
     std::cerr << "campaign: unknown --client-table mode '" << table_mode
               << "' (paged|flat)\n";
@@ -376,7 +376,8 @@ int cmd_campaign(const cli::Args& args) {
   cfg.pcap_path = args.get("pcap");
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume_from = args.get("resume-from");
-  const double ckpt_hours = args.get_f64("checkpoint-interval-hours", 0.0);
+  const double ckpt_hours = args.get_f64("checkpoint-interval-hours", 0.0,
+                                         kMaxSimSeconds / 3600.0);
   if (ckpt_hours > 0.0) {
     cfg.checkpoint_interval = static_cast<SimTime>(ckpt_hours * kHour);
   }
@@ -403,12 +404,12 @@ int cmd_campaign(const cli::Args& args) {
   }
 
   std::ostringstream xml;
-  std::string xml_path = args.get("xml");
   if (!xml_path.empty()) cfg.xml_out = &xml;
 
   obs::Registry registry;
   std::string metrics_path = args.get("metrics-out");
-  double metrics_interval = args.get_f64("metrics-interval", 0.0);
+  const double metrics_interval =
+      args.get_f64("metrics-interval", 0.0, kMaxSimSeconds);
   Telemetry telemetry;
   // A campaign always carries a flight recorder: a mid-run pipeline
   // failure must leave a post-mortem even when --flight-dump was not
@@ -489,25 +490,9 @@ int cmd_campaign(const cli::Args& args) {
     analysis::print_scenario_summary(std::cout, *scenario_summary);
   }
 
-  if (!xml_path.empty()) {
-    if (cfg.compress) {
-      // The buffer already holds the chunked container; write it verbatim
-      // (store_dataset would wrap the binary stream in a second codec).
-      const std::string container = xml.str();
-      if (!write_file(xml_path,
-                      BytesView(reinterpret_cast<const std::uint8_t*>(
-                                    container.data()),
-                                container.size()))) {
-        std::cerr << "cannot write " << xml_path << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << xml_path << " ("
-                << with_thousands(container.size())
-                << " bytes, chunked-compressed)\n";
-    } else if (!store_dataset(xml_path, xml.str())) {
-      std::cerr << "cannot write " << xml_path << "\n";
-      return 1;
-    }
+  if (!xml_path.empty() && !store_dataset(xml_path, xml.str(), cfg.compress)) {
+    std::cerr << "cannot write " << xml_path << "\n";
+    return 1;
   }
   if (!cfg.pcap_path.empty()) {
     std::cout << "wrote " << cfg.pcap_path << "\n";
@@ -558,24 +543,31 @@ int cmd_decode(const cli::Args& args) {
     std::cerr << "decode: --pcap required\n";
     return 2;
   }
+  const std::uint32_t server_ip = args.get_ipv4("server-ip", 0xC0A80001);
+  const auto server_port = args.get_uint<std::uint16_t>("server-port", 4665);
   net::PcapReader reader(pcap_path);
   if (!reader.ok()) {
     std::cerr << "cannot read " << pcap_path << "\n";
     return 1;
   }
-  std::uint32_t server_ip =
-      cli::parse_ipv4(args.get("server-ip", "192.168.0.1")).value_or(0xC0A80001);
-  auto server_port =
-      static_cast<std::uint16_t>(args.get_u64("server-port", 4665));
 
   anon::DirectClientTable clients;
   anon::BucketedFileIdStore files;
   anon::Anonymiser anonymiser(clients, files);
   analysis::CampaignStats stats;
   std::ostringstream xml;
+  std::unique_ptr<xmlio::CompressingOstream> compressor;
   std::unique_ptr<xmlio::DatasetWriter> writer;
-  std::string xml_path = args.get("xml");
-  if (!xml_path.empty()) writer = std::make_unique<xmlio::DatasetWriter>(xml);
+  const std::string xml_path = args.get("xml");
+  const bool compress = ends_with(xml_path, ".dtz");
+  if (!xml_path.empty()) {
+    std::ostream* sink = &xml;
+    if (compress) {
+      compressor = std::make_unique<xmlio::CompressingOstream>(xml);
+      sink = compressor.get();
+    }
+    writer = std::make_unique<xmlio::DatasetWriter>(*sink);
+  }
 
   decode::FrameDecoder decoder(
       server_ip, server_port, [&](decode::DecodedMessage&& msg) {
@@ -588,7 +580,8 @@ int cmd_decode(const cli::Args& args) {
 
   obs::Registry registry;
   std::string metrics_path = args.get("metrics-out");
-  double metrics_interval = args.get_f64("metrics-interval", 0.0);
+  const double metrics_interval =
+      args.get_f64("metrics-interval", 0.0, kMaxSimSeconds);
   Telemetry telemetry;
   if (int rc = setup_telemetry(args, registry, metrics_interval,
                                /*always_flight=*/false, telemetry)) {
@@ -623,6 +616,7 @@ int cmd_decode(const cli::Args& args) {
   }
   decoder.finish(last);
   if (writer) writer->finish();
+  if (compressor) compressor->writer().finish();
   if (telemetry.series) telemetry.series->finish(last);
   if (telemetry.log_enabled) telemetry.logger.emit_suppressed_summary(last);
 
@@ -638,7 +632,7 @@ int cmd_decode(const cli::Args& args) {
           {"undecoded", with_thousands(d.undecoded())},
       });
   print_dataset_summary(stats);
-  if (!xml_path.empty() && !store_dataset(xml_path, xml.str())) {
+  if (!xml_path.empty() && !store_dataset(xml_path, xml.str(), compress)) {
     std::cerr << "cannot write " << xml_path << "\n";
     return 1;
   }
@@ -667,10 +661,7 @@ int cmd_analyze(const cli::Args& args) {
     return 2;
   }
   auto xml = load_dataset(path);
-  if (!xml) {
-    std::cerr << "cannot load " << path << "\n";
-    return 1;
-  }
+  if (!xml) return 1;
   // One pass: every event feeds both the validator (docs/DATASET_SPEC.md)
   // and the statistics.  A dataset that violates its invariants yields
   // meaningless statistics, so findings stop the report unless --force.
@@ -712,19 +703,25 @@ int cmd_compress(const cli::Args& args, bool compress) {
     return 1;
   }
   if (compress) {
-    Bytes out = xmlio::lz_compress(*data);
-    std::string out_path = path + ".dtz";
-    if (!write_file(out_path, out)) return 1;
+    std::ostringstream container;
+    xmlio::ChunkedWriter writer(container);
+    writer.append(reinterpret_cast<const char*>(data->data()), data->size());
+    writer.finish();
+    const std::string out_path = path + ".dtz";
+    if (!write_file(out_path, view_of(container.str()))) return 1;
     std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
-                100.0 * xmlio::lz_ratio(*data, out));
+                data->empty() ? 100.0
+                              : 100.0 * static_cast<double>(
+                                            writer.compressed_bytes()) /
+                                    static_cast<double>(data->size()));
   } else {
-    // The chunked campaign container announces itself by magic; anything
-    // else is treated as the whole-file DTZ1 format.
-    auto out = xmlio::is_chunked_container(*data)
-                   ? xmlio::chunked_decompress(*data)
-                   : xmlio::lz_decompress(*data);
+    if (!xmlio::is_chunked_container(*data)) {
+      std::cerr << path << " is not a DTZCHNK1 container\n";
+      return 1;
+    }
+    auto out = xmlio::chunked_decompress(*data);
     if (!out) {
-      std::cerr << path << " is not a valid compressed file\n";
+      std::cerr << path << " is not a valid DTZCHNK1 container\n";
       return 1;
     }
     std::string out_path =
@@ -771,20 +768,25 @@ int main(int argc, char** argv) {
   dtr::cli::Args args(argc, argv);
 
   int rc;
-  if (args.command() == "campaign") {
-    rc = cmd_campaign(args);
-  } else if (args.command() == "decode") {
-    rc = cmd_decode(args);
-  } else if (args.command() == "analyze") {
-    rc = cmd_analyze(args);
-  } else if (args.command() == "compress") {
-    rc = cmd_compress(args, true);
-  } else if (args.command() == "decompress") {
-    rc = cmd_compress(args, false);
-  } else if (args.command() == "jsoncheck") {
-    rc = cmd_jsoncheck(args);
-  } else {
-    return usage();
+  try {
+    if (args.command() == "campaign") {
+      rc = cmd_campaign(args);
+    } else if (args.command() == "decode") {
+      rc = cmd_decode(args);
+    } else if (args.command() == "analyze") {
+      rc = cmd_analyze(args);
+    } else if (args.command() == "compress") {
+      rc = cmd_compress(args, true);
+    } else if (args.command() == "decompress") {
+      rc = cmd_compress(args, false);
+    } else if (args.command() == "jsoncheck") {
+      rc = cmd_jsoncheck(args);
+    } else {
+      return usage();
+    }
+  } catch (const dtr::cli::UsageError& e) {
+    std::cerr << args.command() << ": " << e.what() << "\n";
+    return 2;
   }
 
   for (const std::string& name : args.unused()) {
