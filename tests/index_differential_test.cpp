@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,11 +36,66 @@ namespace {
 // ReferenceIndex: the pre-sharding FileIndex, verbatim except that the
 // keyword-less full scan walks publication order (the sharded index's
 // canonical order; the old unordered_map walk was the one observable the
-// rewrite deliberately canonicalised).
+// rewrite deliberately canonicalised).  It keeps the original string
+// matcher, which re-tokenises each candidate's name, so the oracle shares
+// no matching code with the interned index it checks.
 // ---------------------------------------------------------------------------
 
 class ReferenceIndex {
  public:
+  static bool matches(const proto::SearchExpr& expr,
+                      const FileRecord& record) {
+    using Kind = proto::SearchExpr::Kind;
+    switch (expr.kind) {
+      case Kind::kBool: {
+        bool l = expr.left != nullptr && matches(*expr.left, record);
+        bool r = expr.right != nullptr && matches(*expr.right, record);
+        switch (expr.op) {
+          case proto::BoolOp::kAnd:
+            return l && r;
+          case proto::BoolOp::kOr:
+            return l || r;
+          case proto::BoolOp::kAndNot:
+            return l && !r;
+        }
+        return false;
+      }
+      case Kind::kKeyword: {
+        std::string lowered = to_lower(expr.text);
+        for (const std::string& kw : tokenize_keywords(record.name)) {
+          if (kw == lowered) return true;
+        }
+        return false;
+      }
+      case Kind::kMetaString: {
+        if (expr.tag_name.size() == 1 &&
+            static_cast<std::uint8_t>(expr.tag_name[0]) ==
+                static_cast<std::uint8_t>(proto::TagName::kFileType)) {
+          return to_lower(record.type) == to_lower(expr.text);
+        }
+        return false;  // other string metadata are not indexed
+      }
+      case Kind::kMetaNumeric: {
+        if (expr.tag_name.size() == 1 &&
+            static_cast<std::uint8_t>(expr.tag_name[0]) ==
+                static_cast<std::uint8_t>(proto::TagName::kFileSize)) {
+          return expr.cmp == proto::NumCmp::kMin ? record.size >= expr.number
+                                                 : record.size <= expr.number;
+        }
+        if (expr.tag_name.size() == 1 &&
+            static_cast<std::uint8_t>(expr.tag_name[0]) ==
+                static_cast<std::uint8_t>(proto::TagName::kAvailability)) {
+          return expr.cmp == proto::NumCmp::kMin
+                     ? record.availability() >= expr.number
+                     : record.availability() <= expr.number;
+        }
+        return false;
+      }
+    }
+    return false;
+  }
+
+
   bool publish(const proto::FileEntry& entry) {
     auto [it, is_new_file] = files_.try_emplace(entry.file_id);
     FileRecord& record = it->second;
@@ -109,7 +165,7 @@ class ReferenceIndex {
       if (best == nullptr) return out;
       for (const FileId& id : *best) {
         auto fit = files_.find(id);
-        if (fit != files_.end() && FileIndex::matches(expr, fit->second)) {
+        if (fit != files_.end() && matches(expr, fit->second)) {
           out.push_back(id);
           if (out.size() >= limit) break;
         }
@@ -119,7 +175,7 @@ class ReferenceIndex {
 
     for (const FileId& id : publish_order_) {
       auto fit = files_.find(id);
-      if (fit != files_.end() && FileIndex::matches(expr, fit->second)) {
+      if (fit != files_.end() && matches(expr, fit->second)) {
         out.push_back(id);
         if (out.size() >= limit) break;
       }
@@ -176,17 +232,35 @@ const std::vector<std::string>& vocabulary() {
       "alpha", "bravo",  "charlie", "delta",  "echo",    "foxtrot",
       "golf",  "hotel",  "india",   "juliet", "kilo",    "lima",
       "mike",  "motown", "nectar",  "oscar",  "papa",    "quebec",
-      "romeo", "sierra", "tango",   "uniform"};
+      "romeo", "sierra", "tango",   "uniform", "pop",    "go"};
   return words;
+}
+
+/// Case-mangles a word: the index and the oracle must both ignore case.
+std::string mixed_case(Rng& r, std::string word) {
+  for (char& c : word) {
+    if (r.chance(0.3)) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+  }
+  return word;
 }
 
 std::string random_name(Rng& r) {
   const auto& vocab = vocabulary();
   const std::size_t n = 2 + r.below(3);
   std::string name;
+  std::string previous;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) name += ' ';
-    name += vocab[r.below(vocab.size())];
+    if (i > 0) name += r.chance(0.2) ? "_-" : " ";
+    // Some names repeat a token ("w1 w2 w1"), some carry punctuation or
+    // tokens under 3 characters, which the tokenizer drops.
+    std::string word = i > 0 && r.chance(0.15) ? previous
+                                               : vocab[r.below(vocab.size())];
+    previous = word;
+    if (r.chance(0.1)) word += '!';
+    if (r.chance(0.1)) word = "x" + std::to_string(r.below(10));
+    name += mixed_case(r, word);
   }
   name += r.chance(0.5) ? ".mp3" : ".avi";
   return name;
@@ -203,16 +277,21 @@ proto::FileEntry random_entry(Rng& r, const std::vector<std::string>& names,
             proto::Tag::u32(proto::TagName::kFileSize,
                             static_cast<std::uint32_t>(1000 + r.below(1u << 30))),
             proto::Tag::str(proto::TagName::kFileType,
-                            r.chance(0.5) ? "audio" : "video")};
+                            mixed_case(r, r.chance(0.5) ? "audio" : "video"))};
   return e;
 }
 
 proto::SearchExprPtr random_expr(Rng& r) {
   const auto& vocab = vocabulary();
   auto word = [&] {
-    // A sliver of never-published keywords exercises the empty-answer path.
-    if (r.chance(0.05)) return std::string("zebra-missing");
-    return vocab[r.below(vocab.size())];
+    // A sliver of never-published keywords exercises the empty-answer path;
+    // words under 3 characters and words with punctuation ("pop!") are
+    // never keywords, whatever the names contain.
+    const std::uint64_t roll = r.below(100);
+    if (roll < 5) return std::string("zebra-missing");
+    if (roll < 9) return std::string(r.chance(0.5) ? "go" : "x3");
+    if (roll < 13) return std::string(r.chance(0.5) ? "pop!" : "Pop!");
+    return mixed_case(r, vocab[r.below(vocab.size())]);
   };
   switch (r.below(8)) {
     case 0:
@@ -228,8 +307,9 @@ proto::SearchExprPtr random_expr(Rng& r) {
     case 4:
       return proto::SearchExpr::boolean(
           proto::BoolOp::kAndNot, proto::SearchExpr::keyword(word()),
-          proto::SearchExpr::meta_string(r.chance(0.5) ? "audio" : "video",
-                                         proto::TagName::kFileType));
+          proto::SearchExpr::meta_string(
+              mixed_case(r, r.chance(0.5) ? "audio" : "video"),
+              proto::TagName::kFileType));
     case 5:
       return proto::SearchExpr::boolean(
           proto::BoolOp::kAnd, proto::SearchExpr::keyword(word()),
@@ -252,9 +332,10 @@ proto::SearchExprPtr random_expr(Rng& r) {
   }
 }
 
+constexpr std::size_t kClientCount = 48;
+
 std::vector<Op> make_workload(std::uint64_t seed, std::size_t op_count) {
   Rng r(seed);
-  constexpr std::size_t kClientCount = 48;
   std::vector<std::string> names;
   for (std::size_t i = 0; i < 300; ++i) names.push_back(random_name(r));
 
@@ -355,6 +436,19 @@ std::vector<std::string> run_sharded(FileIndex& index,
   return transcript;
 }
 
+/// The answers of every search op, in op order, without mutating `index`.
+template <typename Index>
+std::vector<std::string> search_answers(const Index& index,
+                                        const std::vector<Op>& ops) {
+  std::vector<std::string> answers;
+  for (const Op& op : ops) {
+    if (op.kind == Op::Kind::kSearch) {
+      answers.push_back(ids_to_string(index.search(*op.expr, op.limit)));
+    }
+  }
+  return answers;
+}
+
 void expect_same_end_state(const ReferenceIndex& ref, const FileIndex& idx,
                            const std::string& label) {
   EXPECT_EQ(idx.file_count(), ref.file_count()) << label;
@@ -393,7 +487,49 @@ TEST_P(IndexDifferential, ShardedMatchesReferenceForAllShardCounts) {
       ASSERT_EQ(actual[i], expected[i]) << label << " diverged at op " << i;
     }
     expect_same_end_state(reference, index, label);
+
+    // Keywords are derived, not saved: a restored index re-interns them
+    // and must answer every search exactly as the one that was saved.
+    ByteWriter saved;
+    index.save_state(saved);
+    FileIndex restored(cfg);
+    ByteReader in(saved.view());
+    ASSERT_TRUE(restored.restore_state(in)) << label;
+    EXPECT_EQ(restored.keyword_count(), index.keyword_count()) << label;
+    EXPECT_EQ(search_answers(restored, ops), search_answers(index, ops))
+        << label << ": restored index answers differently";
   }
+}
+
+TEST_P(IndexDifferential, RetractingEveryClientEmptiesTheDictionary) {
+  const std::vector<Op> ops = make_workload(GetParam(), 1200);
+  ReferenceIndex reference;
+  run_reference(reference, ops);
+  FileIndexConfig cfg;
+  cfg.shards = 4;
+  FileIndex index(cfg);
+  run_sharded(index, ops);
+  ASSERT_GT(index.keyword_count(), 0u);
+
+  for (std::size_t c = 1; c <= kClientCount + 4; ++c) {
+    reference.retract_client(static_cast<proto::ClientId>(c));
+    index.retract_client(static_cast<proto::ClientId>(c));
+  }
+  EXPECT_EQ(index.file_count(), 0u);
+  EXPECT_EQ(index.source_count(), 0u);
+  EXPECT_EQ(index.keyword_count(), 0u) << "a freed keyword stayed interned";
+  const std::vector<std::string> answers = search_answers(index, ops);
+  EXPECT_EQ(answers, search_answers(reference, ops));
+  for (const std::string& answer : answers) EXPECT_EQ(answer, "");
+
+  // The emptied index interns afresh: republishing answers like new.
+  FileIndex fresh(cfg);
+  run_sharded(fresh, ops);
+  ReferenceIndex fresh_reference;
+  run_reference(fresh_reference, ops);
+  run_sharded(index, ops);
+  EXPECT_EQ(index.keyword_count(), fresh.keyword_count());
+  EXPECT_EQ(search_answers(index, ops), search_answers(fresh, ops));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential,

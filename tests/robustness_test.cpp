@@ -27,6 +27,7 @@
 #include "xmlio/chunked.hpp"
 #include "xmlio/parser.hpp"
 #include "xmlio/schema.hpp"
+#include "scratch_dir.hpp"
 
 namespace dtr {
 namespace {
@@ -494,9 +495,7 @@ Bytes with_meta_section(const core::CheckpointView& view, const Bytes& meta) {
 
 TEST(ScenarioFuzz, TruncatedOrGarbledSnapshotMetaIsRejectedCleanly) {
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "scenario_fuzz_snaps";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+      test_support::scratch_dir("scenario_fuzz_snaps");
   const Bytes data = storm_snapshot(dir);
   ASSERT_FALSE(data.empty());
   std::string error;

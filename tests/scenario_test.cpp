@@ -25,18 +25,14 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/scenario.hpp"
+#include "scratch_dir.hpp"
 
 namespace dtr {
 namespace {
 
 namespace fs = std::filesystem;
 
-fs::path scratch_dir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("scenario_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using test_support::scratch_dir;
 
 Bytes read_all(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);

@@ -167,11 +167,11 @@ TEST(FileIndex, AvailabilityConstraint) {
   index.publish(entry("pop song.mp3", 1, "audio", 1));
   index.publish(entry("pop song.mp3", 1, "audio", 2));
   index.publish(entry("rare song.mp3", 1, "audio", 3));
-  FileRecord rec = *index.find(fid("pop song.mp3"));
   auto expr = proto::SearchExpr::numeric(2, proto::NumCmp::kMin,
                                          proto::TagName::kAvailability);
-  EXPECT_TRUE(FileIndex::matches(*expr, rec));
-  EXPECT_FALSE(FileIndex::matches(*expr, *index.find(fid("rare song.mp3"))));
+  auto results = index.search(*expr, 10);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0], fid("pop song.mp3"));
 }
 
 // ---------------------------------------------------------------------------
