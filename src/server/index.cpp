@@ -26,13 +26,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Ascending distinct copy of `ids`.
-std::vector<std::uint32_t> distinct(std::vector<std::uint32_t> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 /// `text` == `lowered` after ASCII lowercasing `text`, without a copy.
 bool equals_lowered(const std::string& text, const std::string& lowered) {
   if (text.size() != lowered.size()) return false;
@@ -67,7 +60,9 @@ std::vector<std::uint32_t> FileIndex::Dictionary::acquire(
     if (is_new) words_.emplace(next_id_++, Word{&it->first, 0});
     ids.push_back(it->second);
   }
-  for (std::uint32_t id : distinct(ids)) ++words_.at(id).files;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (std::uint32_t id : ids) ++words_.at(id).files;
   return ids;
 }
 
@@ -289,11 +284,10 @@ bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
     if (auto type = proto::tag_string(entry.tags, proto::TagName::kFileType))
       record.type = *type;
     // Intern first: it is the one step that can throw, and nothing has
-    // changed yet.
-    const std::vector<std::uint32_t> ids =
-        dictionary_.acquire(tokenize_keywords(record.name));
-    record.keywords = distinct(ids);
-    for (std::uint32_t kw : ids) {
+    // changed yet.  One posting per distinct keyword: a name that repeats
+    // the searched word is still one candidate and one answer.
+    record.keywords = dictionary_.acquire(tokenize_keywords(record.name));
+    for (std::uint32_t kw : record.keywords) {
       auto& postings = shard.keywords[kw];
       // Keep posting lists seq-ascending even when concurrent publishers
       // interleave; serial histories append at the end.
@@ -635,10 +629,8 @@ bool FileIndex::restore_state(ByteReader& in) {
 
     Shard& shard = shard_for(id);
     if (shard.files.contains(id)) return false;
-    const std::vector<std::uint32_t> ids =
-        dictionary_.acquire(tokenize_keywords(rec.name));
-    rec.keywords = distinct(ids);
-    for (std::uint32_t kw : ids) {
+    rec.keywords = dictionary_.acquire(tokenize_keywords(rec.name));
+    for (std::uint32_t kw : rec.keywords) {
       shard.keywords[kw].push_back(Posting{seq, id});
     }
     shard.by_seq.emplace(seq, id);

@@ -155,8 +155,8 @@ class FileIndex {
   /// before one.
   class Dictionary {
    public:
-    /// The id of each word (in order), interning new ones; every distinct
-    /// id gains one file reference.  Throws std::length_error, changing
+    /// The distinct ids of `words`, ascending, interning new words; each
+    /// gains one file reference.  Throws std::length_error, changing
     /// nothing, once the run's ids would run out.
     std::vector<std::uint32_t> acquire(const std::vector<std::string>& words);
     /// Drop one file reference from each (distinct) id; an id nobody

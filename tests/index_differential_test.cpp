@@ -106,8 +106,11 @@ class ReferenceIndex {
         record.size = *size;
       if (auto type = proto::tag_string(entry.tags, proto::TagName::kFileType))
         record.type = *type;
-      for (const std::string& kw : tokenize_keywords(record.name)) {
-        keywords_[kw].push_back(entry.file_id);
+      std::vector<std::string> words = tokenize_keywords(record.name);
+      std::sort(words.begin(), words.end());
+      words.erase(std::unique(words.begin(), words.end()), words.end());
+      for (const std::string& kw : words) {
+        keywords_[kw].push_back(entry.file_id);  // once per distinct keyword
       }
       publish_order_.push_back(entry.file_id);
     }

@@ -101,6 +101,20 @@ TEST(FileIndex, KeywordSearchFindsByAnyToken) {
   EXPECT_EQ(index.search(*e3, 100).size(), 0u);
 }
 
+TEST(FileIndex, RepeatedKeywordAnswersOnce) {
+  // "w1" is under the 3-character keyword minimum, so the repeated word is
+  // "w10": one posting per distinct keyword, hence one answer entry.
+  FileIndex index;
+  index.publish(entry("w10 w20 w10 f3.mp3", 1, "audio", 1));
+  const auto results =
+      index.search(*proto::SearchExpr::keyword("w10"), 10);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0], fid("w10 w20 w10 f3.mp3"));
+  index.retract_client(1);
+  EXPECT_TRUE(index.search(*proto::SearchExpr::keyword("w10"), 10).empty());
+  EXPECT_EQ(index.keyword_count(), 0u);
+}
+
 TEST(FileIndex, SearchIsCaseInsensitive) {
   FileIndex index;
   index.publish(entry("UPPER lower.mp3", 1, "audio", 1));
