@@ -8,10 +8,9 @@ namespace {
 
 /// Bound of each of the two stage queues (frames, decoded messages).  Small
 /// on purpose: when the feeder (a campaign's simulator) outruns decode and
-/// anonymise, whatever the queues hold is resident memory, and a deep
-/// backlog buys no throughput.  On steady seed 1 (4-vCPU host) 256 kept
-/// the campaign's peak RSS within 3 % of a slow feeder's, where 65 536 and
-/// 1 024 added 6.5 % and 4.4 %.
+/// anonymise, whatever the queues hold is resident memory, and a deeper
+/// backlog buys no throughput (DESIGN.md, "The serial pipeline's queue
+/// bound", has the measurements).
 constexpr std::size_t kStageQueueCapacity = 256;
 
 }  // namespace

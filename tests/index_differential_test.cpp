@@ -95,7 +95,6 @@ class ReferenceIndex {
     return false;
   }
 
-
   bool publish(const proto::FileEntry& entry) {
     auto [it, is_new_file] = files_.try_emplace(entry.file_id);
     FileRecord& record = it->second;
@@ -528,8 +527,6 @@ TEST_P(IndexDifferential, RetractingEveryClientEmptiesTheDictionary) {
   // The emptied index interns afresh: republishing answers like new.
   FileIndex fresh(cfg);
   run_sharded(fresh, ops);
-  ReferenceIndex fresh_reference;
-  run_reference(fresh_reference, ops);
   run_sharded(index, ops);
   EXPECT_EQ(index.keyword_count(), fresh.keyword_count());
   EXPECT_EQ(search_answers(index, ops), search_answers(fresh, ops));
